@@ -8,7 +8,9 @@ from .arith import (
     integer_sqrt,
     is_probable_prime,
     jacobi,
+    lucas_lehmer,
     mod_pow,
+    proth_test,
     sqrt_mod_prime,
 )
 from .classgroup import (

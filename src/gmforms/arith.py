@@ -176,11 +176,13 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality test: deterministic below 2^64, Baillie-PSW style above.
+    """Primality test for arbitrary n: deterministic below 2^64, Baillie-PSW
+    style above.
 
     Below 2^64 a fixed Miller-Rabin witness set gives a proven answer.  Above,
     a strong base-2 test plus a strong Lucas test; no composite is known to
-    pass both.
+    pass both.  The structured families have proofs instead: proth_test for
+    Gaussian Mersenne norms, lucas_lehmer for Mersenne numbers.
     """
     if n < 2:
         return False
@@ -194,3 +196,45 @@ def is_probable_prime(n: int) -> bool:
     if n < 1 << 64:
         return all(_strong_probable_prime(n, b) for b in _MR_BASES)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def proth_test(n: int) -> bool:
+    """Prove or disprove primality of a Proth number n = k*2^m + 1, k odd,
+    k < 2^m (Proth, 1878).
+
+    With a the first base having Jacobi symbol (a/n) = -1, n is prime iff
+    a^((n-1)/2) = -1 (mod n): Proth's theorem gives "if", Euler's criterion
+    "only if".  Meeting (a/n) = 0 first means a shares a factor with n.
+    Raises ValueError when n is not of Proth form.
+    """
+    m = ((n - 1) & (1 - n)).bit_length() - 1
+    if n < 3 or (n - 1) >> m >= 1 << m:
+        raise ValueError(f"{n} is not k*2^m + 1 with odd k < 2^m")
+    a = 2
+    while True:
+        j = jacobi(a, n)
+        if j == 0:
+            return n == a
+        if j == -1:
+            return pow(a, (n - 1) // 2, n) == n - 1
+        a += 1
+
+
+def lucas_lehmer(p: int) -> bool:
+    """Whether the Mersenne number 2^p - 1 is prime, for odd p >= 3
+    (Lucas-Lehmer; Lehmer, 1930).
+
+    s_0 = 4, s_{i+1} = s_i^2 - 2, and 2^p - 1 is prime iff s_{p-2} = 0 mod
+    2^p - 1.  A zero residue proves primality for any odd p >= 3, and 2^p - 1
+    is composite when p is, so the answer is exact for composite p as well.
+    Reduction uses 2^p = 1: fold the high bits onto the low ones.
+    """
+    if p < 3 or p % 2 == 0:
+        raise ValueError("p must be odd and >= 3")
+    m = (1 << p) - 1
+    s = 4
+    for _ in range(p - 2):
+        s = s * s + m - 2  # + m keeps s >= 0 when s < 2
+        while s > m:
+            s = (s & m) + (s >> p)
+    return s in (0, m)

@@ -8,6 +8,7 @@ Progress goes to stderr; the data stream stays machine-clean.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Any, Optional
@@ -57,12 +58,23 @@ def _load_config(path: Optional[str]) -> dict[str, int]:
 
 
 def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> None:
+    """Write the report to stdout, or atomically to out.
+
+    The file is written beside out and renamed over it, so an interrupted or
+    failed write leaves the previous report (or none), never a truncated one.
+    """
     text = report.emit_json(envelope) if emit == "json" else report.emit_table(envelope)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    tmp = f"{out}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, out)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _parse_d_list(raw: str) -> list[int]:

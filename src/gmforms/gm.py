@@ -3,10 +3,11 @@ congruence predictions, and exponent scanning."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import is_probable_prime, jacobi, primes_up_to
+from .arith import is_probable_prime, jacobi, primes_up_to, proth_test
 
 #: Exponents above this are refused by the scanner (desk-scale cap).
 DEFAULT_MAX_EXPONENT = 1200
@@ -52,7 +53,10 @@ class GmNorm:
     p: int
     epsilon: int  # the symbol (2/p), +1 or -1
     value: int
-    primality: str  # proven-small | probable-prime | composite | untested
+    # proven-small (< 2^64) | probable-prime (>= 2^64) | composite.  Both
+    # prime labels are proofs (see gm_norm); the strings are part of the
+    # report format, so they keep their names.
+    primality: str
 
 
 @dataclass(frozen=True)
@@ -84,18 +88,39 @@ def epsilon(p: int) -> int:
     return jacobi(2, p)
 
 
-def _classify(value: int) -> str:
-    if not is_probable_prime(value):
+#: Trial factors q = 4kp + 1 of G_p are tried up to this bound.
+_SIEVE_LIMIT = 1 << 20
+
+
+def _classify(p: int, value: int) -> str:
+    step = 4 * p
+    for q in range(step + 1, min(_SIEVE_LIMIT, math.isqrt(value)) + 1, step):
+        if value % q == 0:
+            return "composite"
+    if not proth_test(value):
         return "composite"
     return "proven-small" if value < 1 << 64 else "probable-prime"
 
 
 def gm_norm(p: int) -> GmNorm:
-    """Norm 2^p - (2/p)*2^((p+1)/2) + 1 with its primality status."""
+    """Norm 2^p - (2/p)*2^((p+1)/2) + 1 with its primality status.
+
+    The status is proved, not probable.  Every prime factor q of G_p is
+    = 1 (mod 4p).  An inert q would divide (1+i)^p - 1 and its conjugate,
+    so i^p = ((1+i)/(1-i))^p = 1 (mod q), but i^p - 1 has norm 2; hence q
+    splits in Z[i] and q = 1 (mod 4).  Modulo a prime above q, 1 + i has
+    order p, so p | q - 1.  No mod-8 filter on q is valid: G_13 = 53 * 157
+    with both factors = 5 (mod 8).
+
+    Trial division by q = 4kp + 1 up to min(2^20, isqrt(G_p)) finds small
+    factors; q need not be prime, and stopping at isqrt(G_p) keeps q a
+    proper divisor.  Survivors go to Proth's test, since
+    G_p - 1 = 2^((p+1)/2) * (2^((p-1)/2) - (2/p)) is a Proth number.
+    """
     _require_odd_prime(p)
     eps = jacobi(2, p)
     value = (1 << p) - eps * (1 << (p + 1) // 2) + 1
-    return GmNorm(p=p, epsilon=eps, value=value, primality=_classify(value))
+    return GmNorm(p=p, epsilon=eps, value=value, primality=_classify(p, value))
 
 
 def gm_norm_oracle(p: int) -> int:
@@ -134,7 +159,7 @@ def predict_congruences(p: int) -> CongruencePrediction:
 
 
 def scan_exponents(p_min: int, p_max: int) -> list[GmNorm]:
-    """All odd primes p in [p_min, p_max] whose norm is a (probable) prime.
+    """All odd primes p in [p_min, p_max] whose norm is prime.
 
     Bounds are inclusive; results are in increasing p.
     """

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import is_probable_prime, jacobi
+from .arith import is_probable_prime, jacobi, lucas_lehmer
 from .classgroup import group_structure
 from .gm import gm_norm, scan_exponents
 from .represent import Representation, cornacchia, representable
@@ -221,13 +221,14 @@ def mersenne_crosscheck(p: int) -> Optional[MersenneRecord]:
     """Control experiment on 2^p - 1 = x^2 + 7*y^2 for p = 1 (mod 3).
 
     Expected dual pattern: 8 | x and y = +-3 (mod 8).  Returns None when
-    2^p - 1 is composite (skipped record).
+    2^p - 1 is composite (skipped record): at once for composite p, else as
+    proved by Lucas-Lehmer.
     """
     if p % 3 != 1:
         raise ValueError("crosscheck needs p = 1 (mod 3)")
-    m = (1 << p) - 1
-    if not is_probable_prime(m):
+    if not is_probable_prime(p) or not lucas_lehmer(p):
         return None
+    m = (1 << p) - 1
     rep = cornacchia(m, 7)
     if rep is None:
         return None

@@ -7,8 +7,10 @@ from gmforms.arith import (
     integer_sqrt,
     is_probable_prime,
     jacobi,
+    lucas_lehmer,
     mod_pow,
     primes_up_to,
+    proth_test,
     sqrt_mod_prime,
 )
 
@@ -172,3 +174,53 @@ class TestIsProbablePrime:
         assert not is_probable_prime((1 << 128) - 1)
         # Perfect squares above 2^64 exercise the Lucas pre-screen.
         assert not is_probable_prime(((1 << 40) + 15) ** 2)
+
+
+def is_proth_form(n):
+    # Independent of proth_test's bit tricks: strip factors of 2 one by one.
+    if n < 3:
+        return False
+    k, m = n - 1, 0
+    while k % 2 == 0:
+        k //= 2
+        m += 1
+    return k < 2**m
+
+
+class TestProthTest:
+    def test_examples(self):
+        assert proth_test(3) and proth_test(13) and proth_test(113)
+        assert proth_test(G_47)
+        assert not proth_test(9)  # (3/9) = 0
+        assert not proth_test(8321)  # G_13 = 53 * 157
+
+    def test_agrees_with_sieve(self):
+        primes = set(primes_up_to(10**5))
+        proth = [n for n in range(10**5) if is_proth_form(n)]
+        assert len(proth) > 400
+        for n in proth:
+            assert proth_test(n) == (n in primes), n
+
+    def test_non_proth_rejected(self):
+        for n in range(-2, 2000):
+            if not is_proth_form(n):
+                with pytest.raises(ValueError):
+                    proth_test(n)
+        with pytest.raises(ValueError):
+            proth_test((1 << 128) - 1)
+
+
+class TestLucasLehmer:
+    def test_examples(self):
+        assert lucas_lehmer(3) and lucas_lehmer(7) and lucas_lehmer(127)
+        assert not lucas_lehmer(11)  # 2047 = 23 * 89
+        assert not lucas_lehmer(9)  # composite exponent
+
+    def test_even_or_small_p_rejected(self):
+        for bad in (-1, 0, 1, 2, 4):
+            with pytest.raises(ValueError):
+                lucas_lehmer(bad)
+
+    def test_agrees_with_bpsw_oracle(self):
+        for p in primes_up_to(1300)[1:]:
+            assert lucas_lehmer(p) == is_probable_prime((1 << p) - 1), p

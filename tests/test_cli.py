@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -155,6 +156,28 @@ class TestConfigAndOutput:
         assert code == 0 and stdout == ""
         envelope = json.loads(out_file.read_text())
         assert envelope["command"] == "scan"
+
+    def test_out_file_replaced_atomically(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        out_file.write_text("x" * 100000)  # longer than the new report
+        code, _, _ = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "60",
+                             "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out_file.read_text())["command"] == "scan"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_failed_write_keeps_old_report(self, capsys, tmp_path, monkeypatch):
+        out_file = tmp_path / "report.json"
+        out_file.write_text("old report")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            main(["scan", "--pmin", "3", "--pmax", "60", "--out", str(out_file)])
+        assert out_file.read_text() == "old report"
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_table_emit(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "60",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gmforms.arith import primes_up_to
+from gmforms.arith import is_probable_prime, primes_up_to
 from gmforms.gm import (
     GaussianInt,
     epsilon,
@@ -70,6 +70,25 @@ class TestGmNorm:
         assert gm_norm(7).primality == "proven-small"
         assert gm_norm(113).primality == "probable-prime"
         assert gm_norm(13).primality == "composite"  # G_13 = 8321 = 53 * 157
+
+    def test_primality_matches_bpsw_oracle(self):
+        for p in primes_up_to(1200)[1:]:
+            norm = gm_norm(p)
+            assert (norm.primality != "composite") == is_probable_prime(norm.value), p
+
+    def test_prime_factors_are_one_mod_4p(self):
+        # The premise of the 4kp + 1 sieve in gm_norm.
+        small_primes = primes_up_to(10**4)[1:]
+        checked = 0
+        for p in primes_up_to(2000)[1:]:
+            value = gm_norm_oracle(p)
+            for q in small_primes:
+                if q < value and value % q == 0:
+                    assert q % (4 * p) == 1, (p, q)
+                    checked += 1
+        assert checked > 50
+        # A mod-8 filter on q would be wrong: both factors of G_13 are 5 mod 8.
+        assert 53 * 157 == gm_norm_oracle(13) and 53 % 8 == 157 % 8 == 5
 
 
 class TestOracle:

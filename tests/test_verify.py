@@ -1,5 +1,6 @@
 import pytest
 
+from gmforms import verify
 from gmforms.verify import (
     VERDICT_CONFIRMED,
     VERDICT_HYPOTHESIS_NOT_MET,
@@ -111,6 +112,14 @@ class TestMersenneCrosscheck:
 
     def test_composite_skipped(self):
         assert mersenne_crosscheck(37) is None  # 2^37 - 1 = 223 * 616318177
+
+    def test_composite_exponent_skipped_without_test(self, monkeypatch):
+        def fail(p):
+            raise AssertionError(f"Lucas-Lehmer run for composite p = {p}")
+
+        monkeypatch.setattr(verify, "lucas_lehmer", fail)
+        for p in (4, 10, 25, 49):
+            assert mersenne_crosscheck(p) is None
 
     def test_wrong_residue_class_rejected(self):
         with pytest.raises(ValueError):
