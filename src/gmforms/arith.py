@@ -75,7 +75,15 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     """Square root of a modulo an odd prime p, or None when a is a non-residue.
 
     Returns the canonical representative r with 0 <= r <= (p - 1) // 2.
-    p is caller-asserted prime; an even p is rejected.
+    p is caller-asserted prime.  ValueError for an even p, and for a p shown
+    composite: an odd square, or a computed root failing r^2 = a (mod p).
+
+    p = 3 (mod 4) takes a^((p+1)/4).  Otherwise Cipolla (1903; Cohen, A
+    Course in Computational Algebraic Number Theory, 1.5): with the first
+    t >= 1 making w = t^2 - a a non-residue, (t + sqrt(w))^((p+1)/2) in
+    F_p[sqrt(w)] is a root of a.  Its cost is O(log p) multiplications
+    whatever the 2-adic valuation of p - 1, which is (p+1)/2 bits for a
+    Gaussian Mersenne norm G_p and makes Tonelli-Shanks quadratic there.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
@@ -87,29 +95,21 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
     else:
-        # Tonelli-Shanks.
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while jacobi(z, p) != -1:
-            z += 1
-        m = s
-        c = pow(z, q, p)
-        t = pow(a, q, p)
-        r = pow(a, (q + 1) // 2, p)
-        while t != 1:
-            t2 = t
-            i = 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m = i
-            c = b * b % p
-            t = t * c % p
-            r = r * b % p
+        if math.isqrt(p) ** 2 == p:
+            # Every unit has Jacobi symbol 1: the search for t would not end.
+            raise ValueError(f"{p} is not prime")
+        t = 1
+        while jacobi(t * t - a, p) != -1:
+            t += 1
+        w = (t * t - a) % p
+        x, y = t, 1  # x + y*sqrt(w), left-to-right powering
+        for bit in bin((p + 1) // 2)[3:]:
+            x, y = (x * x + w * y * y) % p, 2 * x * y % p
+            if bit == "1":
+                x, y = (t * x + w * y) % p, (x + t * y) % p
+        r = x
+    if r * r % p != a:
+        raise ValueError(f"{p} is not prime")
     return min(r, p - r)
 
 

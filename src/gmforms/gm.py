@@ -10,7 +10,7 @@ from typing import Optional
 from .arith import is_probable_prime, jacobi, primes_up_to, proth_test
 
 #: Exponents above this are refused by the scanner (desk-scale cap).
-DEFAULT_MAX_EXPONENT = 1200
+DEFAULT_MAX_EXPONENT = 2000
 
 
 @dataclass(frozen=True)

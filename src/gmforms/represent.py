@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import integer_sqrt, is_probable_prime, jacobi, sqrt_mod_prime
+from .arith import integer_sqrt, is_probable_prime, sqrt_mod_prime
 
 #: Brute-force search is refused above this (documented desk-scale cap).
 BRUTEFORCE_CAP = 10**12
@@ -42,8 +42,6 @@ def cornacchia(n: int, d: int) -> Optional[Representation]:
         raise ValueError("d must be >= 1")
     if n % 2 == 0 or n <= d:
         raise ValueError("need odd n > d")
-    if jacobi(-d, n) == -1:
-        return None
     r0 = sqrt_mod_prime((-d) % n, n)
     if r0 is None or r0 == 0:
         return None

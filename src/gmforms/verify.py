@@ -17,7 +17,7 @@ from typing import Optional
 
 from .arith import is_probable_prime, jacobi, lucas_lehmer
 from .classgroup import group_structure
-from .gm import gm_norm, scan_exponents
+from .gm import GmNorm, gm_norm, scan_exponents
 from .represent import Representation, cornacchia, representable
 
 VERDICT_CONFIRMED = "confirmed"
@@ -122,15 +122,28 @@ def artin_class_d7(x: int, y: int) -> str:
     return "trivial" if (x + 3 * y) % 8 in (1, 7) else "rho"
 
 
-def _audit(p: int, d: int, flags: HypothesisFlags, g_value: int,
-           out_of_range: bool) -> VerificationRecord:
+def _check_d(d: int) -> None:
+    if d % 24 != 7 or not _is_squarefree(d):
+        raise ValueError("d must be square-free and = 7 (mod 24)")
+
+
+def _audit(norm: GmNorm, d: int) -> VerificationRecord:
+    # Audit one computed norm against d; callers have validated p and d.
+    p, g_value = norm.p, norm.value
+    flags = HypothesisFlags(
+        p_mod8_ok=p % 8 in (1, 7),
+        gp_probable_prime=norm.primality in ("proven-small", "probable-prime"),
+        legendre_2_d=jacobi(2, d) == 1,
+        legendre_minus_d_gp=jacobi(-d, g_value) == 1,
+        class_group_order4=_has_order4(-8 * d),
+    )
     rep = None
     if flags.gp_probable_prime and g_value > d:
         rep = cornacchia(g_value, d)
     x_mod8 = rep.x % 8 if rep else None
     y_mod8 = rep.y % 8 if rep else None
     artin = artin_class_d7(rep.x, rep.y) == "trivial" if rep and d == 7 else None
-    if out_of_range:
+    if p == 7:
         verdict = VERDICT_OUT_OF_RANGE
     elif not flags.all_pass():
         verdict = VERDICT_HYPOTHESIS_NOT_MET
@@ -161,15 +174,7 @@ def audit_theorem_d7(p: int) -> VerificationRecord:
     """
     if p < 7:
         raise ValueError("theorem audit needs p >= 7")
-    norm = gm_norm(p)
-    flags = HypothesisFlags(
-        p_mod8_ok=p % 8 in (1, 7),
-        gp_probable_prime=norm.primality in ("proven-small", "probable-prime"),
-        legendre_2_d=jacobi(2, 7) == 1,
-        legendre_minus_d_gp=jacobi(-7, norm.value) == 1,
-        class_group_order4=_has_order4(-56),
-    )
-    return _audit(p, 7, flags, norm.value, out_of_range=(p == 7))
+    return _audit(gm_norm(p), 7)
 
 
 def audit_generalized(p: int, d: int) -> VerificationRecord:
@@ -179,19 +184,10 @@ def audit_generalized(p: int, d: int) -> VerificationRecord:
     form class group of discriminant -8d (the computable stand-in for the
     cyclic quartic extension the theorem assumes).
     """
-    if d % 24 != 7 or not _is_squarefree(d):
-        raise ValueError("d must be square-free and = 7 (mod 24)")
+    _check_d(d)
     if p < 7:
         raise ValueError("theorem audit needs p >= 7")
-    norm = gm_norm(p)
-    flags = HypothesisFlags(
-        p_mod8_ok=p % 8 in (1, 7),
-        gp_probable_prime=norm.primality in ("proven-small", "probable-prime"),
-        legendre_2_d=jacobi(2, d) == 1,
-        legendre_minus_d_gp=jacobi(-d, norm.value) == 1,
-        class_group_order4=_has_order4(-8 * d),
-    )
-    return _audit(p, d, flags, norm.value, out_of_range=(p == 7))
+    return _audit(gm_norm(p), d)
 
 
 def audit_d_2d(p: int, d: int) -> DTwoDRecord:
@@ -242,20 +238,16 @@ def run_suite(p_max: int, d_list: list[int],
     each d in d_list; returns records sorted by (p, d) plus summary counts."""
     if p_max < 7:
         raise ValueError("p_max must be >= 7")
-    exponents = [norm.p for norm in scan_exponents(3, p_max) if norm.p >= 7]
-    jobs = [(p, d) for p in exponents for d in sorted(set(d_list))]
-
-    def one(job: tuple[int, int]) -> VerificationRecord:
-        p, d = job
-        if d == 7:
-            return audit_theorem_d7(p)
-        return audit_generalized(p, d)
-
+    d_values = sorted(set(d_list))
+    for d in d_values:
+        _check_d(d)
+    norms = [norm for norm in scan_exponents(3, p_max) if norm.p >= 7]
+    jobs = [(norm, d) for norm in norms for d in d_values]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, jobs))
+            records = list(pool.map(lambda job: _audit(*job), jobs))
     else:
-        records = [one(job) for job in jobs]
+        records = [_audit(norm, d) for norm, d in jobs]
     records.sort(key=lambda r: (r.p, r.d))
     summary = {
         "confirmed": 0,

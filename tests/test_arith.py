@@ -16,6 +16,38 @@ from gmforms.arith import (
 
 G_47 = 140737471578113
 
+#: OEIS A057429 (Gaussian Mersenne prime exponents) up to 1367.
+A057429 = (3, 5, 7, 11, 19, 29, 47, 73, 79, 113, 151, 157, 163, 167, 239, 241,
+           283, 353, 367, 379, 457, 997, 1367)
+
+
+def g_value(p):
+    # G_p by its closed formula, with (2/p) from p mod 8.
+    eps = 1 if p % 8 in (1, 7) else -1
+    return (1 << p) - eps * (1 << (p + 1) // 2) + 1
+
+
+def tonelli_shanks(a, p):
+    # Independent oracle (Tonelli, 1891; Shanks, 1973) for a residue a mod an
+    # odd prime p: canonical root min(r, p - r).
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
 
 def slow_pow(base, exp, modulus):
     # Repeated-squaring oracle, written independently of mod_pow.
@@ -125,6 +157,38 @@ class TestSqrtModPrime:
     def test_big_prime(self):
         r = sqrt_mod_prime((-7) % G_47, G_47)
         assert r is not None and r * r % G_47 == (-7) % G_47
+
+    def test_agrees_with_tonelli_shanks(self):
+        rng = random.Random(6)
+        for p in primes_up_to(2000)[1:]:
+            for a in {1, 2, p - 1} | {rng.randrange(1, p) for _ in range(12)}:
+                if pow(a, (p - 1) // 2, p) == 1:
+                    assert sqrt_mod_prime(a, p) == tonelli_shanks(a, p), (a, p)
+
+    @pytest.mark.parametrize("p", A057429)
+    def test_gaussian_mersenne_roots_match_euler(self, p):
+        g = g_value(p)
+        for d in (7, 31, 55, 79, 103, 127):
+            r = sqrt_mod_prime(-d, g)
+            if pow(-d, (g - 1) // 2, g) == 1:
+                assert r is not None and r <= (g - 1) // 2, (p, d)
+                assert r * r % g == (-d) % g, (p, d)
+            else:
+                assert r is None, (p, d)
+
+    def test_g_3041(self):
+        # 2-adic valuation of G_3041 - 1 is 1521: out of Tonelli-Shanks' reach.
+        g = g_value(3041)
+        r = sqrt_mod_prime(-7, g)
+        assert r is not None and r <= (g - 1) // 2 and r * r % g == g - 7
+
+    def test_composite_modulus_rejected(self):
+        # (2/65) = 1, yet 2 is a square neither mod 5 nor mod 13.
+        with pytest.raises(ValueError, match="not prime"):
+            sqrt_mod_prime(2, 65)
+        # Every unit mod 9 has Jacobi symbol 1; 2 is not a square mod 9.
+        with pytest.raises(ValueError, match="not prime"):
+            sqrt_mod_prime(2, 9)
 
 
 class TestIntegerSqrt:

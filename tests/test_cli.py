@@ -38,6 +38,10 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--pmin", "50", "--pmax", "10")
         assert code == 2 and "error" in err
 
+    def test_pmax_above_default_cap_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--pmax", "2001")
+        assert code == 2 and "2000" in err
+
     def test_determinism_modulo_timestamp(self, capsys):
         _, first = run_json(capsys, "scan", "--pmin", "3", "--pmax", "60")
         _, second = run_json(capsys, "scan", "--pmin", "3", "--pmax", "60")
@@ -81,6 +85,13 @@ class TestVerify:
         code, envelope = run_json(capsys, "verify", "--pmax", "240", "--d", "7")
         assert code == 3
         assert envelope["summary"]["refuted"] == 1
+
+    def test_refuted_above_old_cap(self, capsys):
+        # G_1367 is the first counterexample above the former cap of 1200.
+        code, envelope = run_json(capsys, "verify", "--pmax", "1400", "--d", "7")
+        assert code == 3
+        refuted = [rec["p"] for rec in envelope["records"] if rec["verdict"] == "REFUTED"]
+        assert refuted == [239, 353, 457, 1367]
 
     def test_records_sorted_by_p_d(self, capsys):
         code, envelope = run_json(capsys, "verify", "--pmax", "170",

@@ -1,11 +1,12 @@
-"""Independent cross-check of the primality proofs against sympy.
+"""Independent cross-check of the primality proofs and square roots against
+sympy.
 
 Test-only: skipped when sympy is not installed; gmforms never imports it.
 """
 
 import pytest
 
-from gmforms.arith import lucas_lehmer
+from gmforms.arith import lucas_lehmer, sqrt_mod_prime
 from gmforms.gm import gm_norm
 
 sympy = pytest.importorskip("sympy")
@@ -27,3 +28,11 @@ def test_gm_norm_agrees_with_sympy(p):
 @pytest.mark.parametrize("p", (607, 1279, 2203))
 def test_lucas_lehmer_agrees_with_sympy(p):
     assert lucas_lehmer(p) == sympy.isprime((1 << p) - 1)
+
+
+@pytest.mark.parametrize("p", [p for p in A057429 if p <= 457])
+def test_sqrt_mod_agrees_with_sympy(p):
+    g = gm_norm(p).value
+    for d in (7, 31, 55, 79, 103, 127):
+        r = sympy.sqrt_mod(-d, g)
+        assert sqrt_mod_prime(-d, g) == (None if r is None else min(r, g - r)), d

@@ -1,6 +1,7 @@
 import pytest
 
-from gmforms import verify
+from gmforms import gm, verify
+from gmforms.arith import primes_up_to
 from gmforms.verify import (
     VERDICT_CONFIRMED,
     VERDICT_HYPOTHESIS_NOT_MET,
@@ -186,3 +187,28 @@ class TestRunSuite:
     def test_invalid_pmax(self):
         with pytest.raises(ValueError):
             run_suite(5, [7])
+
+    def test_invalid_d_rejected(self):
+        for d in (9, 175):  # 175 = 7 (mod 24) but 25 | 175
+            with pytest.raises(ValueError):
+                run_suite(120, [7, d])
+
+    def test_matches_public_audits(self):
+        records, _ = run_suite(170, [31, 7])
+        expected = [audit_theorem_d7(r.p) if r.d == 7 else audit_generalized(r.p, r.d)
+                    for r in records]
+        assert records == expected
+        assert [(r.p, r.d) for r in records][:4] == [(7, 7), (7, 31), (11, 7), (11, 31)]
+
+    def test_each_norm_computed_once(self, monkeypatch):
+        calls = []
+        original = gm.gm_norm
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(gm, "gm_norm", counted)
+        monkeypatch.setattr(verify, "gm_norm", counted)
+        run_suite(120, [7, 31, 55])
+        assert sorted(calls) == primes_up_to(120)[1:]
