@@ -7,7 +7,7 @@ pure and thread-safe.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -27,6 +27,10 @@ _SMALL_PRIME_SET = set(_SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24 (covers 2^64).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Moduli shorter than this keep builtin pow and %: below it one interpreted
+# fold costs more than the long division it replaces.
+_FOLD_MIN_BITS = 700
 
 
 def mod_pow(base: int, exp: int, modulus: int) -> int:
@@ -48,6 +52,57 @@ def integer_sqrt(n: int) -> tuple[int, bool]:
         raise ValueError("n must be >= 0")
     r = math.isqrt(n)
     return r, r * r == n
+
+
+def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
+    """A shift-and-add reduction for n = 2^k - eps*2^h + 1, eps = +-1,
+    1 <= h <= k/2 + 1; None for any other n and below _FOLD_MIN_BITS.
+
+    Gaussian Mersenne norms (k = p, h = (p+1)/2, eps = (2/p)) and Mersenne
+    numbers (k = p, h = 1, eps = 1) have this shape.  The shape is read off
+    n - 1 = 2^h * r: r + 1 a power of two gives eps = 1, r - 1 one gives
+    eps = -1.  The returned map takes any int x to a y = x (mod n) with
+    |y| < 2^(k+1), possibly negative, using 2^k = eps*2^h - 1 (mod n); apply
+    it after every product so that operands stay that short.
+    """
+    if n.bit_length() < _FOLD_MIN_BITS:
+        return None
+    h = ((n - 1) & (1 - n)).bit_length() - 1
+    r = (n - 1) >> h
+    for eps, s in ((1, r + 1), (-1, r - 1)):
+        k = h + s.bit_length() - 1
+        if s > 0 and s & (s - 1) == 0 and 1 <= h <= k // 2 + 1:
+            break
+    else:
+        return None
+    mask = (1 << k) - 1
+
+    def fold(x: int) -> int:
+        # Test the length, not x >> k, which stays -1 for negative x.
+        while x.bit_length() > k + 1:
+            hi = x >> k
+            if eps > 0:
+                x = (x & mask) - hi + (hi << h)
+            else:
+                x = (x & mask) - hi - (hi << h)
+        return x
+
+    return fold
+
+
+def _powmod(a: int, e: int, n: int) -> int:
+    """pow(a, e, n) for e >= 0, n > 1, by square-and-multiply with _fold_mod
+    when n has its shape; builtin pow otherwise."""
+    fold = _fold_mod(n)
+    if fold is None:
+        return pow(a, e, n)
+    a %= n
+    x = a if e else 1
+    for bit in bin(e)[3:]:
+        x = fold(x * x)
+        if bit == "1":
+            x = fold(x * a)
+    return x % n
 
 
 def jacobi(a: int, n: int) -> int:
@@ -93,7 +148,7 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     if jacobi(a, p) != 1:
         return None
     if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
+        r = _powmod(a, (p + 1) // 4, p)
     else:
         if math.isqrt(p) ** 2 == p:
             # Every unit has Jacobi symbol 1: the search for t would not end.
@@ -102,12 +157,13 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
         while jacobi(t * t - a, p) != -1:
             t += 1
         w = (t * t - a) % p
+        fold = _fold_mod(p) or (lambda v: v % p)
         x, y = t, 1  # x + y*sqrt(w), left-to-right powering
         for bit in bin((p + 1) // 2)[3:]:
-            x, y = (x * x + w * y * y) % p, 2 * x * y % p
+            x, y = fold(x * x + w * y * y), fold(2 * x * y)
             if bit == "1":
-                x, y = (t * x + w * y) % p, (x + t * y) % p
-        r = x
+                x, y = fold(t * x + w * y), fold(x + t * y)
+        r = x % p
     if r * r % p != a:
         raise ValueError(f"{p} is not prime")
     return min(r, p - r)
@@ -216,7 +272,7 @@ def proth_test(n: int) -> bool:
         if j == 0:
             return n == a
         if j == -1:
-            return pow(a, (n - 1) // 2, n) == n - 1
+            return _powmod(a, (n - 1) // 2, n) == n - 1
         a += 1
 
 
@@ -227,14 +283,13 @@ def lucas_lehmer(p: int) -> bool:
     s_0 = 4, s_{i+1} = s_i^2 - 2, and 2^p - 1 is prime iff s_{p-2} = 0 mod
     2^p - 1.  A zero residue proves primality for any odd p >= 3, and 2^p - 1
     is composite when p is, so the answer is exact for composite p as well.
-    Reduction uses 2^p = 1: fold the high bits onto the low ones.
+    Large p reduce by _fold_mod, which folds the high bits onto the low ones.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
     m = (1 << p) - 1
+    fold = _fold_mod(m) or (lambda v: v % m)
     s = 4
     for _ in range(p - 2):
-        s = s * s + m - 2  # + m keeps s >= 0 when s < 2
-        while s > m:
-            s = (s & m) + (s >> p)
-    return s in (0, m)
+        s = fold(s * s - 2)
+    return s % m == 0

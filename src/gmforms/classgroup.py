@@ -113,12 +113,11 @@ def _solve_linear_mod(a: int, b: int, m: int) -> tuple[int, int]:
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     """Gauss composition of form classes; returns the reduced composite."""
-    _check_form(f)
-    _check_form(g)
+    f, g = reduce(f), reduce(g)  # reduce checks each form
     if f.discriminant() != g.discriminant():
         raise ValueError("discriminants must match")
-    a1, b1, c1 = reduce(f).a, reduce(f).b, reduce(f).c
-    a2, b2, c2 = reduce(g).a, reduce(g).b, reduce(g).c
+    a1, b1, c1 = f.a, f.b, f.c
+    a2, b2, c2 = g.a, g.b, g.c
     gg = (b2 + b1) // 2
     h = (b2 - b1) // 2
     w = math.gcd(math.gcd(a1, a2), gg)

@@ -29,7 +29,7 @@ class UsageError(Exception):
 
 
 def _load_config(path: Optional[str]) -> dict[str, int]:
-    """Read key = value lines; known keys: max_exponent, workers."""
+    """Read key = value lines; the one known key is max_exponent."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path is None:
@@ -47,7 +47,7 @@ def _load_config(path: Optional[str]) -> dict[str, int]:
                     raise UsageError(f"bad config line: {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in ("max_exponent", "workers"):
+                if key != "max_exponent":
                     raise UsageError(f"unknown config key: {key!r}")
                 config[key] = int(value.strip())
     except OSError as exc:
@@ -144,9 +144,8 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> int:
                 raise UsageError(f"--generalized requires d = 7 (mod 24), got {d}")
     elif d_list != [7]:
         raise UsageError("without --generalized only --d 7 is supported")
-    workers = args.workers or config.get("workers", 1)
     print(f"auditing exponents up to {args.pmax} for d in {d_list}", file=sys.stderr)
-    records, summary = run_suite(args.pmax, d_list, workers=workers)
+    records, summary = run_suite(args.pmax, d_list)
     envelope = report.make_envelope(
         "verify",
         {
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", default="7", help="comma-separated d list")
     p_verify.add_argument("--generalized", action="store_true")
     p_verify.add_argument("--strict", action="store_true")
-    p_verify.add_argument("--workers", type=int, default=0)
     common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -232,8 +231,8 @@ def mersenne_crosscheck(p: int) -> Optional[MersenneRecord]:
                           x_mod8=rep.x % 8, y_mod8=rep.y % 8)
 
 
-def run_suite(p_max: int, d_list: list[int],
-              workers: int = 1) -> tuple[list[VerificationRecord], dict[str, int]]:
+def run_suite(p_max: int,
+              d_list: list[int]) -> tuple[list[VerificationRecord], dict[str, int]]:
     """Audit every scanned Gaussian Mersenne prime exponent <= p_max against
     each d in d_list; returns records sorted by (p, d) plus summary counts."""
     if p_max < 7:
@@ -242,12 +241,7 @@ def run_suite(p_max: int, d_list: list[int],
     for d in d_values:
         _check_d(d)
     norms = [norm for norm in scan_exponents(3, p_max) if norm.p >= 7]
-    jobs = [(norm, d) for norm in norms for d in d_values]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda job: _audit(*job), jobs))
-    else:
-        records = [_audit(norm, d) for norm, d in jobs]
+    records = [_audit(norm, d) for norm in norms for d in d_values]
     records.sort(key=lambda r: (r.p, r.d))
     summary = {
         "confirmed": 0,

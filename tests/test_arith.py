@@ -1,8 +1,12 @@
+import builtins
 import random
 
 import pytest
 
+from gmforms import arith
 from gmforms.arith import (
+    _fold_mod,
+    _powmod,
     gcd,
     integer_sqrt,
     is_probable_prime,
@@ -25,6 +29,10 @@ def g_value(p):
     # G_p by its closed formula, with (2/p) from p mod 8.
     eps = 1 if p % 8 in (1, 7) else -1
     return (1 << p) - eps * (1 << (p + 1) // 2) + 1
+
+
+def m_value(p):
+    return (1 << p) - 1
 
 
 def tonelli_shanks(a, p):
@@ -89,6 +97,78 @@ class TestModPow:
             e = rng.randrange(0, 1 << 20)
             m = rng.randrange(1, 1 << 40)
             assert mod_pow(b, e, m) == slow_pow(b, e, m)
+
+
+@pytest.fixture
+def fold_all_sizes(monkeypatch):
+    # Lower the crossover so that the fold runs at every size tested.
+    monkeypatch.setattr(arith, "_FOLD_MIN_BITS", 0)
+
+
+SPECIAL_MODULI = {
+    **{f"G_{p}": g_value(p) for p in (1367, 1999, 3041)},  # eps = +1
+    **{f"G_{p}": g_value(p) for p in (997, 1373)},  # eps = -1
+    **{f"M_{p}": m_value(p) for p in (607, 4423)},  # h = 1, eps = +1
+}
+
+
+class TestPowmod:
+    """The shift-and-add kernel behind proth_test, sqrt_mod_prime and
+    lucas_lehmer, against builtin pow."""
+
+    @pytest.mark.parametrize("name", SPECIAL_MODULI)
+    def test_special_forms_match_pow(self, name, fold_all_sizes):
+        n = SPECIAL_MODULI[name]
+        assert _fold_mod(n) is not None
+        rng = random.Random(name)
+        for a in (0, 1, n - 1, n + 5, -7, rng.randrange(n)):
+            for e in (0, 1, 2, 3, rng.randrange(1 << 64)):
+                assert _powmod(a, e, n) == pow(a, e, n), (a, e)
+        a, e = rng.randrange(n), rng.randrange(n)
+        assert _powmod(a, e, n) == pow(a, e, n)
+
+    @pytest.mark.parametrize("name", SPECIAL_MODULI)
+    def test_fold_is_a_short_residue(self, name, fold_all_sizes):
+        n = SPECIAL_MODULI[name]
+        fold = _fold_mod(n)
+        rng = random.Random(name)
+        for x in [0, 1, -1, n, -n, (n - 1) ** 2, -(n - 1) ** 2] + [
+                rng.randrange(-(n * n) << 4, (n * n) << 4) for _ in range(200)]:
+            y = fold(x)
+            assert (x - y) % n == 0 and y.bit_length() <= n.bit_length() + 1, x
+
+    def test_shape_detection(self, fold_all_sizes):
+        shaped = {(1 << k) - eps * (1 << h) + 1
+                  for k in range(1, 14) for h in range(1, k // 2 + 2) for eps in (1, -1)}
+        for n in range(3, 1 << 12, 2):
+            assert (_fold_mod(n) is not None) == (n in shaped), n
+            if n in shaped:
+                for a in (0, 1, 2, n - 1, n + 5, -7):
+                    for e in (0, 1, 2, 5, n - 1, n + 1, 12345):
+                        assert _powmod(a, e, n) == pow(a, e, n), (a, e, n)
+
+    def test_other_moduli_take_builtin_pow(self, fold_all_sizes, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(arith, "pow", spy, raising=False)
+        proth = 1234567 * 2**800 + 1  # Proth, but 1234567 is no 2^j +- 1
+        odd = random.Random(7).randrange(1 << 1500) | 1
+        for n in (proth, odd):
+            assert _fold_mod(n) is None
+            for a in (0, 1, n - 1, n + 5, -7):
+                for e in (0, 1, 12345):
+                    calls.clear()
+                    assert _powmod(a, e, n) == builtins.pow(a, e, n)
+                    assert calls == [(a, e, n)]
+
+    def test_short_moduli_take_builtin_pow(self):
+        bits = arith._FOLD_MIN_BITS
+        assert _fold_mod(m_value(bits - 1)) is None
+        assert _fold_mod(m_value(bits)) is not None
 
 
 class TestJacobi:

@@ -209,14 +209,6 @@ class TestConfigAndOutput:
         code, _, _ = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "120")
         assert code == 2
 
-    def test_flag_overrides_config_workers(self, capsys, tmp_path):
-        config = tmp_path / "gmforms.conf"
-        config.write_text("workers = 2\n")
-        code, envelope = run_json(capsys, "--config", str(config),
-                                  "verify", "--pmax", "120", "--d", "7",
-                                  "--workers", "1")
-        assert code == 0 and envelope["summary"]["confirmed"] == 4
-
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         config = tmp_path / "gmforms.conf"
         config.write_text("threads = 4\n")

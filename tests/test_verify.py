@@ -135,11 +135,8 @@ class TestRunSuite:
         assert summary["refuted"] == 0
         assert summary["out-of-theorem-range"] == 1  # p = 7
 
-    def test_deterministic_and_parallel_equivalent(self):
-        first = run_suite(120, [7])
-        second = run_suite(120, [7])
-        parallel = run_suite(120, [7], workers=4)
-        assert first == second == parallel
+    def test_deterministic(self):
+        assert run_suite(120, [7]) == run_suite(120, [7])
 
     def test_confirmed_record_invariants(self, suite_600_d7):
         records, _ = suite_600_d7
