@@ -4,12 +4,10 @@ audits behind their mod-8 congruences."""
 __version__ = "0.1.0"
 
 from .arith import (
-    gcd,
-    integer_sqrt,
+    NotPrimeError,
     is_probable_prime,
     jacobi,
     lucas_lehmer,
-    mod_pow,
     proth_test,
     sqrt_mod_prime,
 )

@@ -30,28 +30,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Moduli shorter than this keep builtin pow and %: below it one interpreted
 # fold costs more than the long division it replaces.
-_FOLD_MIN_BITS = 700
+_FOLD_MIN_BITS = 500
+
+# _powmod multiplies by a base of at most this many bits without a fold.
+_SMALL_BASE_BITS = 32
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus for modulus >= 1."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if exp < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(base, exp, modulus)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
-def integer_sqrt(n: int) -> tuple[int, bool]:
-    """(floor(sqrt(n)), whether n is a perfect square)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    r = math.isqrt(n)
-    return r, r * r == n
+class NotPrimeError(ValueError):
+    """A modulus taken to be prime failed an identity that holds for primes."""
 
 
 def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
@@ -61,9 +47,20 @@ def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
     Gaussian Mersenne norms (k = p, h = (p+1)/2, eps = (2/p)) and Mersenne
     numbers (k = p, h = 1, eps = 1) have this shape.  The shape is read off
     n - 1 = 2^h * r: r + 1 a power of two gives eps = 1, r - 1 one gives
-    eps = -1.  The returned map takes any int x to a y = x (mod n) with
-    |y| < 2^(k+1), possibly negative, using 2^k = eps*2^h - 1 (mod n); apply
-    it after every product so that operands stay that short.
+    eps = -1.  The returned map takes an int x to a y = x (mod n), possibly
+    negative, using 2^k = eps*2^h - 1 (mod n); apply it after every product
+    so that operands stay short.  In general it folds in a loop until
+    |y| < 2^(k+1).
+
+    The G_p shape 2h = k + 1, for h >= 70, folds with no loop instead, and
+    |y| < 2^(k+2) for every |x| < 2^(2k+70): a product of two folded values,
+    or the square of one times a base of _SMALL_BASE_BITS bits.  Here
+    n * (2^k + eps*2^h + 1) = 2^(2k) + 1, so 2^(2k) = -1 and
+    2^(k+h) = 2^h - 2*eps (mod n).  With x = x0 + x1*2^k + x2*2^(k+h) +
+    x3*2^(2k), where 0 <= x0 < 2^k, 0 <= x1 < 2^h, 0 <= x2 < 2^(h-1) and
+    |x3| <= 2^70, x = y = x0 - x1 - x3 + (eps*x1 + x2)*2^h - 2*eps*x2.  As
+    -2^h < eps*x1 + x2 <= 2^h + 2^(h-1) - 2,
+    -2^(k+1) - 2^h - 2^70 < y <= 2^(k+2) - 2^h + 2^70 - 3, inside 2^(k+2).
     """
     if n.bit_length() < _FOLD_MIN_BITS:
         return None
@@ -76,6 +73,20 @@ def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
     else:
         return None
     mask = (1 << k) - 1
+
+    if 2 * h == k + 1 and h >= 70:
+        k2, kh = 2 * k, k + h
+        mask_h, mask_l = (1 << h) - 1, (1 << (h - 1)) - 1
+
+        def fold_plus(x: int) -> int:
+            x1, x2 = (x >> k) & mask_h, (x >> kh) & mask_l
+            return (x & mask) - x1 - (x >> k2) + ((x1 + x2) << h) - (x2 << 1)
+
+        def fold_minus(x: int) -> int:
+            x1, x2 = (x >> k) & mask_h, (x >> kh) & mask_l
+            return (x & mask) - x1 - (x >> k2) + ((x2 - x1) << h) + (x2 << 1)
+
+        return fold_plus if eps > 0 else fold_minus
 
     def fold(x: int) -> int:
         # Test the length, not x >> k, which stays -1 for negative x.
@@ -92,16 +103,23 @@ def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
 
 def _powmod(a: int, e: int, n: int) -> int:
     """pow(a, e, n) for e >= 0, n > 1, by square-and-multiply with _fold_mod
-    when n has its shape; builtin pow otherwise."""
+    when n has its shape; builtin pow otherwise.
+
+    a is taken as its least absolute residue.  When that has at most
+    _SMALL_BASE_BITS bits (a Proth witness; -7 given as n - 7), the product
+    by it is left to the next square's fold."""
     fold = _fold_mod(n)
     if fold is None:
         return pow(a, e, n)
     a %= n
+    if 2 * a > n:
+        a -= n
+    small = a.bit_length() <= _SMALL_BASE_BITS
     x = a if e else 1
     for bit in bin(e)[3:]:
         x = fold(x * x)
         if bit == "1":
-            x = fold(x * a)
+            x = x * a if small else fold(x * a)
     return x % n
 
 
@@ -130,15 +148,24 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     """Square root of a modulo an odd prime p, or None when a is a non-residue.
 
     Returns the canonical representative r with 0 <= r <= (p - 1) // 2.
-    p is caller-asserted prime.  ValueError for an even p, and for a p shown
-    composite: an odd square, or a computed root failing r^2 = a (mod p).
+    p is caller-asserted prime.  ValueError for an even p, and NotPrimeError
+    (a ValueError) for a p shown composite: an odd square, a t below sharing
+    a factor with p, or a computed root failing r^2 = a (mod p).
 
-    p = 3 (mod 4) takes a^((p+1)/4).  Otherwise Cipolla (1903; Cohen, A
-    Course in Computational Algebraic Number Theory, 1.5): with the first
-    t >= 1 making w = t^2 - a a non-residue, (t + sqrt(w))^((p+1)/2) in
-    F_p[sqrt(w)] is a root of a.  Its cost is O(log p) multiplications
-    whatever the 2-adic valuation of p - 1, which is (p+1)/2 bits for a
-    Gaussian Mersenne norm G_p and makes Tonelli-Shanks quadratic there.
+    p = 3 (mod 4) takes a^((p+1)/4).  Otherwise Mueller's Lucas-sequence root
+    (S. Mueller, "On the computation of square roots in finite fields",
+    Des. Codes Cryptogr. 31, 2004): with the first t >= 1 making
+    (a*t^2 - 4 / p) = -1 and c = a*t^2 - 2, V_{(p-1)/4}(c, 1) = t*sqrt(a).
+    Why: for alpha a root of X^2 - cX + 1, c^2 - 4 = a*t^2*(a*t^2 - 4) is a
+    non-residue, so alpha lies outside F_p and alpha^p = 1/alpha.  Raising
+    (alpha + 1)^2 = a*t^2*alpha to the power (p+1)/2, with
+    (alpha + 1)^(p+1) = (alpha + 1)(1/alpha + 1) = a*t^2 a residue, gives
+    alpha^((p+1)/2) = 1.  So V_{(p-1)/2} = 1/alpha + alpha = c and
+    V_{(p-1)/4}^2 = V_{(p-1)/2} + 2 = a*t^2.  V runs a ladder over the odd
+    part of (p-1)/4, one square and one product per bit, then V <- V^2 - 2
+    once per factor 2.  For a Gaussian Mersenne norm G_p the factors 2 are
+    half the bits, where powering in F_p[sqrt(w)] pays two squares and a
+    product on every bit, and Tonelli-Shanks is quadratic in their number.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
@@ -152,20 +179,28 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     else:
         if math.isqrt(p) ** 2 == p:
             # Every unit has Jacobi symbol 1: the search for t would not end.
-            raise ValueError(f"{p} is not prime")
+            raise NotPrimeError(f"{p} is not prime")
         t = 1
-        while jacobi(t * t - a, p) != -1:
+        while jacobi(a * t * t - 4, p) != -1:
             t += 1
-        w = (t * t - a) % p
-        fold = _fold_mod(p) or (lambda v: v % p)
-        x, y = t, 1  # x + y*sqrt(w), left-to-right powering
-        for bit in bin((p + 1) // 2)[3:]:
-            x, y = fold(x * x + w * y * y), fold(2 * x * y)
+        c = (a * t * t - 2) % p
+        fold = _fold_mod(p) or (lambda x: x % p)
+        m = (p - 1) >> 2
+        z = (m & -m).bit_length() - 1
+        v, w = c, fold(c * c - 2)  # V_j, V_{j+1} for j = 1
+        for bit in bin(m >> z)[3:]:
             if bit == "1":
-                x, y = fold(t * x + w * y), fold(x + t * y)
-        r = x % p
+                v, w = fold(v * w - c), fold(w * w - 2)
+            else:
+                v, w = fold(v * v - 2), fold(v * w - c)
+        for _ in range(z):
+            v = fold(v * v - 2)
+        try:
+            r = v * pow(t, -1, p) % p
+        except ValueError:
+            raise NotPrimeError(f"{p} is not prime") from None
     if r * r % p != a:
-        raise ValueError(f"{p} is not prime")
+        raise NotPrimeError(f"{p} is not prime")
     return min(r, p - r)
 
 
@@ -202,8 +237,7 @@ def _selfridge_d(n: int) -> Optional[int]:
 
 def _strong_lucas_probable_prime(n: int) -> bool:
     # Strong Lucas test with Selfridge parameters (P = 1, Q = (1 - D) / 4).
-    _, exact = integer_sqrt(n)
-    if exact:
+    if math.isqrt(n) ** 2 == n:
         return False
     d = _selfridge_d(n)
     if d is None:

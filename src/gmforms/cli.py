@@ -1,7 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success/confirmed, 1 legitimate negative (no representation,
-or strict-mode unexpected failures), 2 usage error, 3 refuted theorem.
+or strict-mode unexpected failures), 2 usage error, 3 refuted theorem,
+4 internal error (a number taken to be prime failed a prime-only identity,
+or the arithmetic met a case it rules out).
 Progress goes to stderr; the data stream stays machine-clean.
 """
 
@@ -13,7 +15,7 @@ import os
 import sys
 from typing import Any, Optional
 
-from .arith import is_probable_prime
+from .arith import NotPrimeError, is_probable_prime
 from .classgroup import enumerate_reduced, group_structure
 from .gm import DEFAULT_MAX_EXPONENT, gm_norm, predict_congruences, scan_exponents
 from .represent import BRUTEFORCE_CAP, cornacchia, represent_bruteforce
@@ -279,6 +281,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"gmforms: error: {exc}", file=sys.stderr)
         return 2
+    except (NotPrimeError, ArithmeticError) as exc:
+        print(f"gmforms: internal error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"gmforms: error: {exc}", file=sys.stderr)
         return 2

@@ -37,11 +37,6 @@ def gm_norm_to_dict(norm: GmNorm) -> dict[str, Any]:
     }
 
 
-def gm_norm_from_dict(data: dict[str, Any]) -> GmNorm:
-    return GmNorm(p=data["p"], epsilon=data["epsilon"],
-                  value=int(data["value"]), primality=data["primality"])
-
-
 def verification_record_to_dict(record: VerificationRecord) -> dict[str, Any]:
     rep = record.representation
     return {

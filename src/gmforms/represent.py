@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import integer_sqrt, is_probable_prime, sqrt_mod_prime
+from .arith import is_probable_prime, sqrt_mod_prime
 
 #: Brute-force search is refused above this (documented desk-scale cap).
 BRUTEFORCE_CAP = 10**12
@@ -56,8 +56,9 @@ def cornacchia(n: int, d: int) -> Optional[Representation]:
     rem = n - b * b
     if rem % d:
         return None
-    y, exact = integer_sqrt(rem // d)
-    if not exact or y == 0:
+    rem //= d
+    y = math.isqrt(rem)
+    if y * y != rem or y == 0:
         return None
     x = b
     if d == 1 and x < y:
@@ -78,8 +79,9 @@ def represent_bruteforce(n: int, d: int) -> Optional[Representation]:
         raise ValueError(f"n exceeds brute-force cap {BRUTEFORCE_CAP}")
     y = 1
     while d * y * y < n:
-        x, exact = integer_sqrt(n - d * y * y)
-        if exact and x > 0:
+        rem = n - d * y * y
+        x = math.isqrt(rem)
+        if x * x == rem and x > 0:
             return Representation(n=n, d=d, x=x, y=y)
         y += 1
     return None

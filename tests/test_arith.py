@@ -1,18 +1,17 @@
 import builtins
+import math
 import random
 
 import pytest
 
 from gmforms import arith
 from gmforms.arith import (
+    NotPrimeError,
     _fold_mod,
     _powmod,
-    gcd,
-    integer_sqrt,
     is_probable_prime,
     jacobi,
     lucas_lehmer,
-    mod_pow,
     primes_up_to,
     proth_test,
     sqrt_mod_prime,
@@ -23,6 +22,10 @@ G_47 = 140737471578113
 #: OEIS A057429 (Gaussian Mersenne prime exponents) up to 1367.
 A057429 = (3, 5, 7, 11, 19, 29, 47, 73, 79, 113, 151, 157, 163, 167, 239, 241,
            283, 353, 367, 379, 457, 997, 1367)
+
+
+#: The square-free d = 7 (mod 24) below 200.
+D_7_MOD_24 = (7, 31, 55, 79, 103, 127, 151, 199)
 
 
 def g_value(p):
@@ -58,7 +61,7 @@ def tonelli_shanks(a, p):
 
 
 def slow_pow(base, exp, modulus):
-    # Repeated-squaring oracle, written independently of mod_pow.
+    # Repeated-squaring oracle, written independently of _powmod.
     result = 1 % modulus
     base %= modulus
     for bit in bin(exp)[2:]:
@@ -69,26 +72,28 @@ def slow_pow(base, exp, modulus):
 
 
 class TestModPow:
+    """_powmod's contract at small moduli, where it takes builtin pow."""
+
     def test_examples(self):
-        assert mod_pow(2, 7, 113) == 15
-        assert mod_pow(2, 47, 7) == 4
-        assert mod_pow(2, 47, 7) == slow_pow(2, 47, 7)
+        assert _powmod(2, 7, 113) == 15
+        assert _powmod(2, 47, 7) == 4
+        assert _powmod(2, 47, 7) == slow_pow(2, 47, 7)
 
     def test_zero_exponent(self):
         for x in (0, 1, 5, 12345):
-            assert mod_pow(x, 0, 7) == 1
-        assert mod_pow(3, 0, 1) == 0
+            assert _powmod(x, 0, 7) == 1
+        assert _powmod(3, 0, 1) == 0
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
+            _powmod(2, 3, 0)
 
     def test_fermat_little_theorem(self):
         rng = random.Random(1)
         for p in primes_up_to(10**4):
             a = rng.randrange(1, 10**6)
             if a % p:
-                assert mod_pow(a, p - 1, p) == 1
+                assert _powmod(a, p - 1, p) == 1
 
     def test_matches_slow_oracle_random(self):
         rng = random.Random(2)
@@ -96,7 +101,7 @@ class TestModPow:
             b = rng.randrange(0, 1 << 64)
             e = rng.randrange(0, 1 << 20)
             m = rng.randrange(1, 1 << 40)
-            assert mod_pow(b, e, m) == slow_pow(b, e, m)
+            assert _powmod(b, e, m) == slow_pow(b, e, m)
 
 
 @pytest.fixture
@@ -109,6 +114,15 @@ SPECIAL_MODULI = {
     **{f"G_{p}": g_value(p) for p in (1367, 1999, 3041)},  # eps = +1
     **{f"G_{p}": g_value(p) for p in (997, 1373)},  # eps = -1
     **{f"M_{p}": m_value(p) for p in (607, 4423)},  # h = 1, eps = +1
+}
+
+
+#: k of the moduli 2^k - eps*2^((k+1)/2) + 1 that take the loop-free fold;
+#: k = 139 has h = 70, the least h it takes.
+GP_MODULI = {
+    **{name: (int(name[2:]), n) for name, n in SPECIAL_MODULI.items() if name.startswith("G_")},
+    "k139+": (139, (1 << 139) - (1 << 70) + 1),
+    "k139-": (139, (1 << 139) + (1 << 70) + 1),
 }
 
 
@@ -135,7 +149,58 @@ class TestPowmod:
         for x in [0, 1, -1, n, -n, (n - 1) ** 2, -(n - 1) ** 2] + [
                 rng.randrange(-(n * n) << 4, (n * n) << 4) for _ in range(200)]:
             y = fold(x)
-            assert (x - y) % n == 0 and y.bit_length() <= n.bit_length() + 1, x
+            assert (x - y) % n == 0 and y.bit_length() <= n.bit_length() + 2, x
+
+    @pytest.mark.parametrize("name", GP_MODULI)
+    def test_gp_fold_matches_mod(self, name, fold_all_sizes):
+        # The loop-free G_p fold on inputs up to 2^(2k+70), negative ones too.
+        k, n = GP_MODULI[name]
+        fold = _fold_mod(n)
+        top = 1 << (2 * k + 70)
+        rng = random.Random(name)
+        edges = [top - 1, 1 << (2 * k), (1 << (2 * k)) - 1, (1 << (2 * k)) + (1 << 70),
+                 (n - 1) ** 2, (1 << (k + 2)) ** 2, n, 1, 0]
+        for x in edges + [-x for x in edges] + [
+                rng.randrange(-top, top) >> rng.randrange(2 * k + 70) for _ in range(300)]:
+            y = fold(x)
+            assert (x - y) % n == 0 and abs(y) < 1 << (k + 2), x
+
+    @pytest.mark.parametrize("name", GP_MODULI)
+    def test_gp_fold_bounded_under_squaring(self, name, fold_all_sizes):
+        k, n = GP_MODULI[name]
+        fold = _fold_mod(n)
+        small = -(1 << arith._SMALL_BASE_BITS) + 1
+        # Starts at both ends of the fold's output range.
+        for start in ((1 << (k + 2)) - 1, -(1 << (k + 1)) - (1 << ((k + 3) // 2))):
+            x = y = start
+            for _ in range(500):
+                x = fold(x * x)
+                y = fold((y * small) ** 2)
+                assert abs(x) < 1 << (k + 2) and abs(y) < 1 << (k + 2)
+            assert x % n == pow(start, 1 << 500, n)
+            assert y % n == pow(start, 1 << 500, n) * pow(small, (1 << 501) - 2, n) % n
+
+    @pytest.mark.parametrize("name", SPECIAL_MODULI)
+    def test_small_bases_skip_the_fold(self, name, fold_all_sizes, monkeypatch):
+        n = SPECIAL_MODULI[name]
+        folds = []
+
+        def counted(m):
+            fold = _fold_mod(m)
+            return lambda x: folds.append(x) or fold(x)
+
+        monkeypatch.setattr(arith, "_fold_mod", counted)
+        rng = random.Random(name)
+        limit = 1 << arith._SMALL_BASE_BITS
+        # (n - 1) / 2 cut to at most 1400 bits, half ones for G_p with eps = 1.
+        half = (n - 1) >> max(1, n.bit_length() - 1400)
+        for a in (-1, -7, 3, -(limit - 1), n - 7, -limit, n - limit, rng.randrange(n)):
+            for e in (0, 1, 2, 3, rng.randrange(1 << 64), half):
+                folds.clear()
+                assert _powmod(a, e, n) == pow(a, e, n), (a, e)
+                least = min(a % n, a % n - n, key=abs)
+                extra = 0 if abs(least) < limit else bin(e).count("1") - 1
+                assert len(folds) == max(e.bit_length() - 1, 0) + max(extra, 0), (a, e)
 
     def test_shape_detection(self, fold_all_sizes):
         shaped = {(1 << k) - eps * (1 << h) + 1
@@ -204,8 +269,7 @@ class TestJacobi:
     def test_second_supplement(self):
         for n in range(1, 500, 2):
             expected = 1 if n % 8 in (1, 7) else -1
-            if gcd(2, n) == 1:
-                assert jacobi(2, n) == expected
+            assert jacobi(2, n) == expected
 
 
 class TestSqrtModPrime:
@@ -245,10 +309,54 @@ class TestSqrtModPrime:
                 if pow(a, (p - 1) // 2, p) == 1:
                     assert sqrt_mod_prime(a, p) == tonelli_shanks(a, p), (a, p)
 
+    def test_every_residue_one_mod_4(self):
+        # Mueller's branch on every residue of every p = 1 (mod 4) below 600.
+        for p in primes_up_to(600):
+            if p % 4 == 1:
+                for a in range(1, p):
+                    expected = tonelli_shanks(a, p) if pow(a, (p - 1) // 2, p) == 1 else None
+                    assert sqrt_mod_prime(a, p) == expected, (a, p)
+
+    def test_discriminant_zero_is_skipped(self):
+        # a*t^2 = 4 has (a*t^2 - 4 / p) = 0, so t is passed over.
+        for p in [q for q in primes_up_to(2000) if q % 4 == 1] + [g_value(997), g_value(1367)]:
+            assert sqrt_mod_prime(4, p) == 2
+            for t in (2, 3):
+                root = 2 * pow(t, -1, p) % p
+                assert sqrt_mod_prime(root * root % p, p) == min(root, p - root)
+
+    def test_composite_moduli_raise_not_prime(self):
+        # An odd composite non-square n gives a true root, None or
+        # NotPrimeError, never a bare error: also where the first t with
+        # (a*t^2 - 4 / n) = -1 shares a factor with n and has no inverse.
+        shared = 0
+        for n in range(15, 400, 2):
+            if is_probable_prime(n) or math.isqrt(n) ** 2 == n:
+                continue
+            for a in range(1, n):
+                t = 1
+                if n % 4 == 1 and jacobi(a, n) == 1:
+                    while jacobi(a * t * t - 4, n) != -1:
+                        t += 1
+                if math.gcd(t, n) > 1:
+                    shared += 1
+                    with pytest.raises(NotPrimeError, match=f"^{n} is not prime$"):
+                        sqrt_mod_prime(a, n)
+                    continue
+                try:
+                    r = sqrt_mod_prime(a, n)
+                except NotPrimeError as exc:
+                    assert str(exc) == f"{n} is not prime"
+                    continue
+                assert r is None or (r * r % n == a and r <= (n - 1) // 2), (a, n)
+        assert shared > 100
+        with pytest.raises(NotPrimeError, match="^65 is not prime$"):
+            sqrt_mod_prime(2, 65)  # first t = 5
+
     @pytest.mark.parametrize("p", A057429)
     def test_gaussian_mersenne_roots_match_euler(self, p):
         g = g_value(p)
-        for d in (7, 31, 55, 79, 103, 127):
+        for d in D_7_MOD_24:
             r = sqrt_mod_prime(-d, g)
             if pow(-d, (g - 1) // 2, g) == 1:
                 assert r is not None and r <= (g - 1) // 2, (p, d)
@@ -269,34 +377,6 @@ class TestSqrtModPrime:
         # Every unit mod 9 has Jacobi symbol 1; 2 is not a square mod 9.
         with pytest.raises(ValueError, match="not prime"):
             sqrt_mod_prime(2, 9)
-
-
-class TestIntegerSqrt:
-    def test_examples(self):
-        assert integer_sqrt(16) == (4, True)
-        assert integer_sqrt(15) == (3, False)
-        assert integer_sqrt(3925696**2) == (3925696, True)
-        assert integer_sqrt(0) == (0, True)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            integer_sqrt(-1)
-
-    def test_floor_property(self):
-        rng = random.Random(5)
-        for _ in range(1000):
-            n = rng.randrange(0, 1 << 128)
-            r, exact = integer_sqrt(n)
-            assert r * r <= n < (r + 1) * (r + 1)
-            assert exact == (r * r == n)
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(8, 12) == 4
-        assert gcd(17, 0) == 17
-        assert gcd(0, 0) == 0
-        assert gcd(G_47, 14) == 1
 
 
 class TestIsProbablePrime:

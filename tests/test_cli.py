@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
+from gmforms import arith, cli
 from gmforms.cli import main
 from gmforms.report import verification_record_from_dict, verification_record_to_dict
 from gmforms.verify import run_suite
@@ -70,6 +72,25 @@ class TestRepresent:
     def test_nonpositive_d_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "represent", "--p", "7", "--d", "0")
         assert code == 2
+
+
+class TestInternalErrors:
+    def test_composite_taken_for_prime_exits_4(self, capsys, monkeypatch):
+        # G_17 = 130561 = 137 * 953; claimed prime, its root of -7 fails.
+        real = cli.gm_norm
+        monkeypatch.setattr(cli, "gm_norm", lambda p: dataclasses.replace(
+            real(p), primality="proven-small"))
+        code, out, err = run_cli(capsys, "represent", "--p", "17", "--d", "7")
+        assert code == 4 and out == ""
+        assert "internal error" in err and "130561 is not prime" in err
+
+    def test_no_lucas_discriminant_exits_4(self, capsys, monkeypatch):
+        # With every Jacobi symbol 1, the Selfridge search for the strong
+        # Lucas test of 2^89 - 1 runs out of candidates.
+        monkeypatch.setattr(arith, "jacobi", lambda a, n: 1)
+        code, _, err = run_cli(capsys, "congruences", "--p", str(2**89 - 1))
+        assert code == 4
+        assert "internal error" in err and "no Lucas discriminant" in err
 
 
 class TestVerify:

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from gmforms import gm, verify
 from gmforms.arith import primes_up_to
+from gmforms.report import verification_record_to_dict
 from gmforms.verify import (
     VERDICT_CONFIRMED,
     VERDICT_HYPOTHESIS_NOT_MET,
@@ -209,3 +213,14 @@ class TestRunSuite:
         monkeypatch.setattr(verify, "gm_norm", counted)
         run_suite(120, [7, 31, 55])
         assert sorted(calls) == primes_up_to(120)[1:]
+
+    def test_records_pinned(self):
+        # SHA-256 of the records' sorted-key JSON, recorded while the roots
+        # mod G_p were Cipolla's and the fold looped.  The roots at p = 997
+        # and 1367 run on the fold, so a kernel rewrite must keep this.
+        records, summary = run_suite(1400, [7, 31, 55, 79, 103, 127])
+        text = json.dumps([verification_record_to_dict(r) for r in records],
+                          sort_keys=True)
+        assert len(records) == 126 and summary["refuted"] == 8
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6cceb0bed5a22589d8192cdaccef57d35ff7231f47704e11b0438852bf04db7b")
