@@ -41,64 +41,50 @@ class NotPrimeError(ValueError):
 
 
 def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
-    """A shift-and-add reduction for n = 2^k - eps*2^h + 1, eps = +-1,
-    1 <= h <= k/2 + 1; None for any other n and below _FOLD_MIN_BITS.
+    """A shift-and-add reduction for the two moduli the audit builds, or None.
 
-    Gaussian Mersenne norms (k = p, h = (p+1)/2, eps = (2/p)) and Mersenne
-    numbers (k = p, h = 1, eps = 1) have this shape.  The shape is read off
-    n - 1 = 2^h * r: r + 1 a power of two gives eps = 1, r - 1 one gives
-    eps = -1.  The returned map takes an int x to a y = x (mod n), possibly
-    negative, using 2^k = eps*2^h - 1 (mod n); apply it after every product
-    so that operands stay short.  In general it folds in a loop until
-    |y| < 2^(k+1).
+    They are Mersenne numbers M_k = 2^k - 1 (k >= 70) and Gaussian Mersenne
+    norms n = 2^k - eps*2^h + 1, 2h = k + 1, eps = +-1 (h >= 70); any other
+    n, and any n under _FOLD_MIN_BITS, gets None.  The map takes an x with
+    |x| < 2^(2k+70), a product of two folded values or the square of one
+    times a base of _SMALL_BASE_BITS bits, to a y = x (mod n), possibly
+    negative, with |y| < 2^(k+2); apply it after every product.
 
-    The G_p shape 2h = k + 1, for h >= 70, folds with no loop instead, and
-    |y| < 2^(k+2) for every |x| < 2^(2k+70): a product of two folded values,
-    or the square of one times a base of _SMALL_BASE_BITS bits.  Here
-    n * (2^k + eps*2^h + 1) = 2^(2k) + 1, so 2^(2k) = -1 and
+    M_k: 2^k = 1, so x <- (x mod 2^k) + (x >> k), twice.  The first pass
+    leaves -2^(k+70) <= x < 2^(k+71), the second -2^70 <= y < 2^k + 2^71.
+    G_p: n * (2^k + eps*2^h + 1) = 2^(2k) + 1, so 2^(2k) = -1 and
     2^(k+h) = 2^h - 2*eps (mod n).  With x = x0 + x1*2^k + x2*2^(k+h) +
     x3*2^(2k), where 0 <= x0 < 2^k, 0 <= x1 < 2^h, 0 <= x2 < 2^(h-1) and
     |x3| <= 2^70, x = y = x0 - x1 - x3 + (eps*x1 + x2)*2^h - 2*eps*x2.  As
     -2^h < eps*x1 + x2 <= 2^h + 2^(h-1) - 2,
     -2^(k+1) - 2^h - 2^70 < y <= 2^(k+2) - 2^h + 2^70 - 3, inside 2^(k+2).
     """
-    if n.bit_length() < _FOLD_MIN_BITS:
+    k = n.bit_length()
+    if k < _FOLD_MIN_BITS:
         return None
+    if n & (n + 1) == 0 and k >= 70:
+
+        def fold_mersenne(x: int) -> int:
+            x = (x & n) + (x >> k)
+            return (x & n) + (x >> k)
+
+        return fold_mersenne
     h = ((n - 1) & (1 - n)).bit_length() - 1
-    r = (n - 1) >> h
-    for eps, s in ((1, r + 1), (-1, r - 1)):
-        k = h + s.bit_length() - 1
-        if s > 0 and s & (s - 1) == 0 and 1 <= h <= k // 2 + 1:
-            break
-    else:
+    k = 2 * h - 1
+    if h < 70 or n not in ((1 << k) - (1 << h) + 1, (1 << k) + (1 << h) + 1):
         return None
-    mask = (1 << k) - 1
+    k2, kh = 2 * k, k + h
+    mask, mask_h, mask_l = (1 << k) - 1, (1 << h) - 1, (1 << (h - 1)) - 1
 
-    if 2 * h == k + 1 and h >= 70:
-        k2, kh = 2 * k, k + h
-        mask_h, mask_l = (1 << h) - 1, (1 << (h - 1)) - 1
+    def fold_plus(x: int) -> int:
+        x1, x2 = (x >> k) & mask_h, (x >> kh) & mask_l
+        return (x & mask) - x1 - (x >> k2) + ((x1 + x2) << h) - (x2 << 1)
 
-        def fold_plus(x: int) -> int:
-            x1, x2 = (x >> k) & mask_h, (x >> kh) & mask_l
-            return (x & mask) - x1 - (x >> k2) + ((x1 + x2) << h) - (x2 << 1)
+    def fold_minus(x: int) -> int:
+        x1, x2 = (x >> k) & mask_h, (x >> kh) & mask_l
+        return (x & mask) - x1 - (x >> k2) + ((x2 - x1) << h) + (x2 << 1)
 
-        def fold_minus(x: int) -> int:
-            x1, x2 = (x >> k) & mask_h, (x >> kh) & mask_l
-            return (x & mask) - x1 - (x >> k2) + ((x2 - x1) << h) + (x2 << 1)
-
-        return fold_plus if eps > 0 else fold_minus
-
-    def fold(x: int) -> int:
-        # Test the length, not x >> k, which stays -1 for negative x.
-        while x.bit_length() > k + 1:
-            hi = x >> k
-            if eps > 0:
-                x = (x & mask) - hi + (hi << h)
-            else:
-                x = (x & mask) - hi - (hi << h)
-        return x
-
-    return fold
+    return fold_plus if n < 1 << k else fold_minus
 
 
 def _powmod(a: int, e: int, n: int) -> int:
@@ -121,6 +107,27 @@ def _powmod(a: int, e: int, n: int) -> int:
         if bit == "1":
             x = x * a if small else fold(x * a)
     return x % n
+
+
+def _lucas_v(c: int, m: int, n: int) -> int:
+    """V_m(c, 1) for m >= 1 and |c| < n, up to a multiple of n.
+
+    V_0 = 2, V_1 = c, V_{j+1} = c*V_j - V_{j-1}.  A ladder over the odd part
+    of m keeps (V_j, V_{j+1}) by V_2j = V_j^2 - 2 and V_{2j+1} = V_j*V_{j+1}
+    - c, one square and one product per bit; then V <- V^2 - 2 once per
+    factor 2 of m.  Products reduce by _fold_mod(n) when n has its shape.
+    """
+    fold = _fold_mod(n) or (lambda x: x % n)
+    z = (m & -m).bit_length() - 1
+    v, w = c, fold(c * c - 2)  # V_j, V_{j+1} for j = 1
+    for bit in bin(m >> z)[3:]:
+        if bit == "1":
+            v, w = fold(v * w - c), fold(w * w - 2)
+        else:
+            v, w = fold(v * v - 2), fold(v * w - c)
+    for _ in range(z):
+        v = fold(v * v - 2)
+    return v
 
 
 def jacobi(a: int, n: int) -> int:
@@ -161,11 +168,10 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     (alpha + 1)^2 = a*t^2*alpha to the power (p+1)/2, with
     (alpha + 1)^(p+1) = (alpha + 1)(1/alpha + 1) = a*t^2 a residue, gives
     alpha^((p+1)/2) = 1.  So V_{(p-1)/2} = 1/alpha + alpha = c and
-    V_{(p-1)/4}^2 = V_{(p-1)/2} + 2 = a*t^2.  V runs a ladder over the odd
-    part of (p-1)/4, one square and one product per bit, then V <- V^2 - 2
-    once per factor 2.  For a Gaussian Mersenne norm G_p the factors 2 are
-    half the bits, where powering in F_p[sqrt(w)] pays two squares and a
-    product on every bit, and Tonelli-Shanks is quadratic in their number.
+    V_{(p-1)/4}^2 = V_{(p-1)/2} + 2 = a*t^2.  _lucas_v pays one square per
+    factor 2 of (p-1)/4, and for a Gaussian Mersenne norm G_p those are half
+    the bits, where powering in F_p[sqrt(w)] pays two squares and a product
+    on every bit, and Tonelli-Shanks is quadratic in their number.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
@@ -183,18 +189,7 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
         t = 1
         while jacobi(a * t * t - 4, p) != -1:
             t += 1
-        c = (a * t * t - 2) % p
-        fold = _fold_mod(p) or (lambda x: x % p)
-        m = (p - 1) >> 2
-        z = (m & -m).bit_length() - 1
-        v, w = c, fold(c * c - 2)  # V_j, V_{j+1} for j = 1
-        for bit in bin(m >> z)[3:]:
-            if bit == "1":
-                v, w = fold(v * w - c), fold(w * w - 2)
-            else:
-                v, w = fold(v * v - 2), fold(v * w - c)
-        for _ in range(z):
-            v = fold(v * v - 2)
+        v = _lucas_v((a * t * t - 2) % p, (p - 1) >> 2, p)
         try:
             r = v * pow(t, -1, p) % p
         except ValueError:
@@ -317,13 +312,9 @@ def lucas_lehmer(p: int) -> bool:
     s_0 = 4, s_{i+1} = s_i^2 - 2, and 2^p - 1 is prime iff s_{p-2} = 0 mod
     2^p - 1.  A zero residue proves primality for any odd p >= 3, and 2^p - 1
     is composite when p is, so the answer is exact for composite p as well.
-    Large p reduce by _fold_mod, which folds the high bits onto the low ones.
+    s_i = V_{2^i}(4, 1), as V_2j = V_j^2 - 2.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
     m = (1 << p) - 1
-    fold = _fold_mod(m) or (lambda v: v % m)
-    s = 4
-    for _ in range(p - 2):
-        s = fold(s * s - 2)
-    return s % m == 0
+    return _lucas_v(4, 1 << (p - 2), m) % m == 0

@@ -89,10 +89,17 @@ def _parse_d_list(raw: str) -> list[int]:
     return values
 
 
-def cmd_scan(args: argparse.Namespace, config: dict[str, int]) -> int:
+def _check_cap(config: dict[str, int], option: str, p: int) -> None:
+    """Refuse an exponent above max_exponent, the desk-scale cap."""
     cap = config.get("max_exponent", DEFAULT_MAX_EXPONENT)
-    if not 3 <= args.pmin <= args.pmax <= cap:
-        raise UsageError(f"need 3 <= pmin <= pmax <= {cap}")
+    if p > cap:
+        raise UsageError(f"{option} must be <= {cap} (max_exponent), got {p}")
+
+
+def cmd_scan(args: argparse.Namespace, config: dict[str, int]) -> int:
+    if not 3 <= args.pmin <= args.pmax:
+        raise UsageError("need 3 <= pmin <= pmax")
+    _check_cap(config, "--pmax", args.pmax)
     hits = scan_exponents(args.pmin, args.pmax)
     envelope = report.make_envelope(
         "scan",
@@ -109,8 +116,9 @@ def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> int:
         raise UsageError("--d must be >= 1")
     if args.p < 3 or not is_probable_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
+    _check_cap(config, "--p", args.p)
     norm = gm_norm(args.p)
-    if norm.primality in ("proven-small", "probable-prime") and norm.value > args.d:
+    if norm.is_prime and norm.value > args.d:
         rep = cornacchia(norm.value, args.d)
     elif norm.value <= BRUTEFORCE_CAP:
         rep = represent_bruteforce(norm.value, args.d)
@@ -136,9 +144,9 @@ def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> int:
-    cap = config.get("max_exponent", DEFAULT_MAX_EXPONENT)
-    if not 7 <= args.pmax <= cap:
-        raise UsageError(f"need 7 <= pmax <= {cap}")
+    if args.pmax < 7:
+        raise UsageError("need pmax >= 7")
+    _check_cap(config, "--pmax", args.pmax)
     d_list = _parse_d_list(args.d)
     if args.generalized:
         for d in d_list:
@@ -191,6 +199,7 @@ def cmd_classgroup(args: argparse.Namespace, config: dict[str, int]) -> int:
 def cmd_congruences(args: argparse.Namespace, config: dict[str, int]) -> int:
     if args.p < 3 or not is_probable_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
+    _check_cap(config, "--p", args.p)
     prediction = predict_congruences(args.p)
     norm = gm_norm(args.p)
     records = []

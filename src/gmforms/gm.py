@@ -58,6 +58,10 @@ class GmNorm:
     # report format, so they keep their names.
     primality: str
 
+    @property
+    def is_prime(self) -> bool:
+        return self.primality in ("proven-small", "probable-prime")
+
 
 @dataclass(frozen=True)
 class CongruencePrediction:
@@ -170,6 +174,6 @@ def scan_exponents(p_min: int, p_max: int) -> list[GmNorm]:
         if p < max(p_min, 3):
             continue
         norm = gm_norm(p)
-        if norm.primality in ("proven-small", "probable-prime"):
+        if norm.is_prime:
             hits.append(norm)
     return hits

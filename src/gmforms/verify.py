@@ -9,7 +9,6 @@ such record as a build failure.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -89,19 +88,7 @@ class DTwoDRecord:
 
 
 def _is_squarefree(d: int) -> bool:
-    if d < 1:
-        return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def _has_order4(discriminant: int) -> bool:
-    return group_structure(discriminant).has_order_4_element
+    return d >= 1 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
 
 
 def audit_lemma(x: int, y: int, g: int) -> LemmaChecks:
@@ -126,15 +113,21 @@ def _check_d(d: int) -> None:
         raise ValueError("d must be square-free and = 7 (mod 24)")
 
 
-def _audit(norm: GmNorm, d: int) -> VerificationRecord:
+def _d_facts(d: int) -> tuple[bool, bool]:
+    # The hypotheses on d alone: (2/d) = 1, an order-4 element in Cl(-8d).
+    return jacobi(2, d) == 1, group_structure(-8 * d).has_order_4_element
+
+
+def _audit(norm: GmNorm, d: int, d_facts: tuple[bool, bool]) -> VerificationRecord:
     # Audit one computed norm against d; callers have validated p and d.
     p, g_value = norm.p, norm.value
+    legendre_2_d, order4 = d_facts
     flags = HypothesisFlags(
         p_mod8_ok=p % 8 in (1, 7),
-        gp_probable_prime=norm.primality in ("proven-small", "probable-prime"),
-        legendre_2_d=jacobi(2, d) == 1,
+        gp_probable_prime=norm.is_prime,
+        legendre_2_d=legendre_2_d,
         legendre_minus_d_gp=jacobi(-d, g_value) == 1,
-        class_group_order4=_has_order4(-8 * d),
+        class_group_order4=order4,
     )
     rep = None
     if flags.gp_probable_prime and g_value > d:
@@ -173,7 +166,7 @@ def audit_theorem_d7(p: int) -> VerificationRecord:
     """
     if p < 7:
         raise ValueError("theorem audit needs p >= 7")
-    return _audit(gm_norm(p), 7)
+    return _audit(gm_norm(p), 7, _d_facts(7))
 
 
 def audit_generalized(p: int, d: int) -> VerificationRecord:
@@ -186,7 +179,7 @@ def audit_generalized(p: int, d: int) -> VerificationRecord:
     _check_d(d)
     if p < 7:
         raise ValueError("theorem audit needs p >= 7")
-    return _audit(gm_norm(p), d)
+    return _audit(gm_norm(p), d, _d_facts(d))
 
 
 def audit_d_2d(p: int, d: int) -> DTwoDRecord:
@@ -240,8 +233,9 @@ def run_suite(p_max: int,
     d_values = sorted(set(d_list))
     for d in d_values:
         _check_d(d)
+    facts = {d: _d_facts(d) for d in d_values}
     norms = [norm for norm in scan_exponents(3, p_max) if norm.p >= 7]
-    records = [_audit(norm, d) for norm in norms for d in d_values]
+    records = [_audit(norm, d, facts[d]) for norm in norms for d in d_values]
     records.sort(key=lambda r: (r.p, r.d))
     summary = {
         "confirmed": 0,

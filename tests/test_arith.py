@@ -8,6 +8,7 @@ from gmforms import arith
 from gmforms.arith import (
     NotPrimeError,
     _fold_mod,
+    _lucas_v,
     _powmod,
     is_probable_prime,
     jacobi,
@@ -110,6 +111,19 @@ def fold_all_sizes(monkeypatch):
     monkeypatch.setattr(arith, "_FOLD_MIN_BITS", 0)
 
 
+@pytest.fixture
+def pow_calls(monkeypatch):
+    # The argument tuples of every builtin pow call made inside arith.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return builtins.pow(*args)
+
+    monkeypatch.setattr(arith, "pow", spy, raising=False)
+    return calls
+
+
 SPECIAL_MODULI = {
     **{f"G_{p}": g_value(p) for p in (1367, 1999, 3041)},  # eps = +1
     **{f"G_{p}": g_value(p) for p in (997, 1373)},  # eps = -1
@@ -117,12 +131,13 @@ SPECIAL_MODULI = {
 }
 
 
-#: k of the moduli 2^k - eps*2^((k+1)/2) + 1 that take the loop-free fold;
-#: k = 139 has h = 70, the least h it takes.
-GP_MODULI = {
-    **{name: (int(name[2:]), n) for name, n in SPECIAL_MODULI.items() if name.startswith("G_")},
+#: (k, n) of the two folded shapes: 2^k - eps*2^((k+1)/2) + 1, where
+#: k = 139 has h = 70, the least h folded, and 2^k - 1, with k >= 70.
+FOLD_MODULI = {
+    **{name: (int(name[2:]), n) for name, n in SPECIAL_MODULI.items()},
     "k139+": (139, (1 << 139) - (1 << 70) + 1),
     "k139-": (139, (1 << 139) + (1 << 70) + 1),
+    "M_139": (139, m_value(139)),
 }
 
 
@@ -151,10 +166,10 @@ class TestPowmod:
             y = fold(x)
             assert (x - y) % n == 0 and y.bit_length() <= n.bit_length() + 2, x
 
-    @pytest.mark.parametrize("name", GP_MODULI)
+    @pytest.mark.parametrize("name", FOLD_MODULI)
     def test_gp_fold_matches_mod(self, name, fold_all_sizes):
-        # The loop-free G_p fold on inputs up to 2^(2k+70), negative ones too.
-        k, n = GP_MODULI[name]
+        # Either fold on inputs up to 2^(2k+70), negative ones too.
+        k, n = FOLD_MODULI[name]
         fold = _fold_mod(n)
         top = 1 << (2 * k + 70)
         rng = random.Random(name)
@@ -165,9 +180,9 @@ class TestPowmod:
             y = fold(x)
             assert (x - y) % n == 0 and abs(y) < 1 << (k + 2), x
 
-    @pytest.mark.parametrize("name", GP_MODULI)
+    @pytest.mark.parametrize("name", FOLD_MODULI)
     def test_gp_fold_bounded_under_squaring(self, name, fold_all_sizes):
-        k, n = GP_MODULI[name]
+        k, n = FOLD_MODULI[name]
         fold = _fold_mod(n)
         small = -(1 << arith._SMALL_BASE_BITS) + 1
         # Starts at both ends of the fold's output range.
@@ -202,38 +217,71 @@ class TestPowmod:
                 extra = 0 if abs(least) < limit else bin(e).count("1") - 1
                 assert len(folds) == max(e.bit_length() - 1, 0) + max(extra, 0), (a, e)
 
-    def test_shape_detection(self, fold_all_sizes):
-        shaped = {(1 << k) - eps * (1 << h) + 1
-                  for k in range(1, 14) for h in range(1, k // 2 + 2) for eps in (1, -1)}
-        for n in range(3, 1 << 12, 2):
-            assert (_fold_mod(n) is not None) == (n in shaped), n
-            if n in shaped:
-                for a in (0, 1, 2, n - 1, n + 5, -7):
-                    for e in (0, 1, 2, 5, n - 1, n + 1, 12345):
-                        assert _powmod(a, e, n) == pow(a, e, n), (a, e, n)
+    def test_only_two_shapes_fold(self, fold_all_sizes, pow_calls):
+        folded = [m_value(k) for k in (70, 71, 139, 521)] + [
+            (1 << k) - eps * (1 << (k + 1) // 2) + 1 for k in (139, 141, 521) for eps in (1, -1)]
+        for n in folded:
+            assert _fold_mod(n) is not None, n
+            for a in (0, 1, n - 1, n + 5, -7):
+                for e in (0, 1, 2, 12345, n - 2):
+                    assert _powmod(a, e, n) == builtins.pow(a, e, n), (a, e, n)
+        others = [m_value(k) + s for k in (139, 521) for s in (2, -2)]
+        for k in (139, 140, 521):
+            others.append((1 << k) + 1)
+            others += [(1 << k) - eps * (1 << h) + 1 for h in (2, 70, k // 2, k // 2 + 2, k - 1)
+                       for eps in (1, -1) if 2 * h != k + 1]
+        others += [(1 << 139) - (1 << 69) + 1, (1 << 139) + (1 << 69) + 1]
+        # Both shapes one bit short of the 70-bit margin.
+        others += [m_value(69), (1 << 137) - (1 << 69) + 1, (1 << 137) + (1 << 69) + 1]
+        for n in others:
+            assert _fold_mod(n) is None, n
+            for a in (0, 1, n - 1, -7):
+                for e in (0, 1, 12345):
+                    pow_calls.clear()
+                    assert _powmod(a, e, n) == builtins.pow(a, e, n)
+                    assert pow_calls == [(a, e, n)]
 
-    def test_other_moduli_take_builtin_pow(self, fold_all_sizes, monkeypatch):
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return builtins.pow(*args)
-
-        monkeypatch.setattr(arith, "pow", spy, raising=False)
+    def test_other_moduli_take_builtin_pow(self, fold_all_sizes, pow_calls):
         proth = 1234567 * 2**800 + 1  # Proth, but 1234567 is no 2^j +- 1
         odd = random.Random(7).randrange(1 << 1500) | 1
         for n in (proth, odd):
             assert _fold_mod(n) is None
             for a in (0, 1, n - 1, n + 5, -7):
                 for e in (0, 1, 12345):
-                    calls.clear()
+                    pow_calls.clear()
                     assert _powmod(a, e, n) == builtins.pow(a, e, n)
-                    assert calls == [(a, e, n)]
+                    assert pow_calls == [(a, e, n)]
 
     def test_short_moduli_take_builtin_pow(self):
         bits = arith._FOLD_MIN_BITS
         assert _fold_mod(m_value(bits - 1)) is None
         assert _fold_mod(m_value(bits)) is not None
+
+
+#: Moduli for _lucas_v, prime and composite: three with no fold at any
+#: size (101, 91 and G_13 = 53 * 157, whose h = 7), both shapes at the
+#: margin (k = 139), and full-size G_p and M_p.
+LUCAS_MODULI = {
+    "101": 101, "91": 91, "k139+": (1 << 139) - (1 << 70) + 1,
+    "k139-": (1 << 139) + (1 << 70) + 1, "M_127": m_value(127), "M_139": m_value(139),
+    "G_997": g_value(997), "G_13": g_value(13), "M_607": m_value(607), "M_611": m_value(611),
+}
+
+
+class TestLucasV:
+    @pytest.mark.parametrize("folds", (True, False), ids=("fold", "no-fold"))
+    @pytest.mark.parametrize("name", LUCAS_MODULI)
+    def test_matches_recurrence(self, name, folds, monkeypatch):
+        n = LUCAS_MODULI[name]
+        monkeypatch.setattr(arith, "_FOLD_MIN_BITS", 0 if folds else 1 << 20)
+        shaped = name not in ("101", "91", "G_13")
+        assert (_fold_mod(n) is not None) == (folds and shaped)
+        rng = random.Random(name)
+        for c in (0, 2, n - 1, -(n - 1), rng.randrange(n), -rng.randrange(n)):
+            prev, v = 2, c % n  # V_0, V_1
+            for m in range(1, 301):
+                assert _lucas_v(c, m, n) % n == v, (c, m)
+                prev, v = v, (c * v - prev) % n
 
 
 class TestJacobi:

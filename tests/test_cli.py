@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import pytest
 
@@ -14,6 +15,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_refused_fast(capsys, *argv):
+    # Past the default cap, refused before G_p is built: sieving and
+    # proving G_100003 runs for longer than 5 s.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "--p must be <= 2000" in err
 
 
 def run_json(capsys, *argv):
@@ -72,6 +82,9 @@ class TestRepresent:
     def test_nonpositive_d_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "represent", "--p", "7", "--d", "0")
         assert code == 2
+
+    def test_p_above_cap_exits_2_fast(self, capsys):
+        assert_refused_fast(capsys, "represent", "--p", "100003", "--d", "7")
 
 
 class TestInternalErrors:
@@ -179,6 +192,9 @@ class TestCongruences:
         assert not by_modulus[7]["applicable"]
         assert by_modulus[7]["actual"] == 6
 
+    def test_p_above_cap_exits_2_fast(self, capsys):
+        assert_refused_fast(capsys, "congruences", "--p", "100003")
+
 
 class TestConfigAndOutput:
     def test_out_file(self, capsys, tmp_path):
@@ -222,6 +238,16 @@ class TestConfigAndOutput:
         code, _, err = run_cli(capsys, "--config", str(config),
                                "scan", "--pmin", "3", "--pmax", "120")
         assert code == 2 and "pmax" in err
+
+    def test_config_cap_admits_larger_p(self, capsys, tmp_path):
+        config = tmp_path / "gmforms.conf"
+        config.write_text("max_exponent = 4000\n")
+        code, envelope = run_json(capsys, "--config", str(config),
+                                  "represent", "--p", "3041", "--d", "7")
+        record = envelope["records"][0]
+        assert code == 0 and record["primality"] == "probable-prime"
+        rep = record["representation"]
+        assert int(rep["x"]) ** 2 + 7 * int(rep["y"]) ** 2 == int(record["g_value"])
 
     def test_env_var_points_to_config(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "alt.conf"
