@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import jacobi, sqrt_mod_prime
+from .arith import primes_up_to, sqrt_mod_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -158,50 +158,35 @@ class ClassGroupSummary:
     has_order_4_element: bool
 
 
-def _invariant_factors(elements: list, op, identity) -> list[int]:
-    # Generic decomposition of a finite abelian group: peel off a cyclic
-    # subgroup of maximal order, recurse on the quotient.
-    if len(elements) == 1:
-        return []
-    orders = {}
-    for g in elements:
-        k, power = 1, g
-        while power != identity:
-            power = op(power, g)
-            k += 1
-        orders[g] = k
-    exponent = 1
-    for k in orders.values():
-        exponent = exponent * k // math.gcd(exponent, k)
-    generator = next(g for g, k in orders.items() if k == exponent)
-    # Cosets of <generator>.
-    subgroup = [identity]
-    power = generator
-    while power != identity:
-        subgroup.append(power)
-        power = op(power, generator)
-    coset_of = {}
-    cosets = []
-    for g in elements:
-        if g in coset_of:
-            continue
-        coset = frozenset(op(g, s) for s in subgroup)
-        cosets.append(coset)
-        for member in coset:
-            coset_of[member] = coset
-    def coset_op(x: frozenset, y: frozenset) -> frozenset:
-        return coset_of[op(next(iter(x)), next(iter(y)))]
-    identity_coset = coset_of[identity]
-    return [exponent] + _invariant_factors(cosets, coset_op, identity_coset)
-
-
 def group_structure(d: int) -> ClassGroupSummary:
-    """Class number and invariant-factor decomposition of the form class group."""
+    """Class number and invariant-factor decomposition of the form class group.
+
+    The factors are read off the element orders, which fix a finite abelian
+    group up to isomorphism.  For each prime l, let N_j count the elements of
+    order dividing l^j (N_0 = 1).  Then N_j / N_(j-1) = l^(r_j), where r_j
+    counts the factors divisible by l^j, so the i-th factor (largest first)
+    is the product over l of l^#{j : r_j >= i}.
+    """
     forms = enumerate_reduced(d)
     identity = principal_form(d)
-    factors = _invariant_factors(forms, compose, identity)
-    if not factors:
-        factors = [1]
+    orders = []
+    for f in forms:
+        k, power = 1, f
+        while power != identity:
+            power = compose(power, f)
+            k += 1
+        orders.append(k)
+    factors = [1]
+    for ell in primes_up_to(len(forms)):
+        count, q = 1, ell
+        while (n := sum(1 for k in orders if q % k == 0)) > count:
+            r = 0  # N_j / N_(j-1) = ell^r
+            while count < n:
+                count, r = count * ell, r + 1
+            factors += [1] * (r - len(factors))
+            for i in range(r):
+                factors[i] *= ell
+            q *= ell
     return ClassGroupSummary(
         discriminant=d,
         h=len(forms),

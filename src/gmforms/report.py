@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Any, Optional
+from typing import Any
 
 from . import __version__
 from .classgroup import ClassGroupSummary, QuadForm
@@ -68,16 +68,14 @@ def verification_record_from_dict(data: dict[str, Any]) -> VerificationRecord:
 
 
 def class_group_to_dict(summary: ClassGroupSummary,
-                        forms: Optional[list[QuadForm]] = None) -> dict[str, Any]:
-    data: dict[str, Any] = {
+                        forms: list[QuadForm]) -> dict[str, Any]:
+    return {
         "discriminant": summary.discriminant,
         "h": summary.h,
         "cyclic_orders": list(summary.cyclic_orders),
         "has_order_4_element": summary.has_order_4_element,
+        "forms": [[f.a, f.b, f.c] for f in forms],
     }
-    if forms is not None:
-        data["forms"] = [[f.a, f.b, f.c] for f in forms]
-    return data
 
 
 def make_envelope(command: str, parameters: dict[str, Any],

@@ -110,7 +110,7 @@ def artin_class_d7(x: int, y: int) -> str:
 
 def _check_d(d: int) -> None:
     if d % 24 != 7 or not _is_squarefree(d):
-        raise ValueError("d must be square-free and = 7 (mod 24)")
+        raise ValueError(f"d must be square-free and = 7 (mod 24), got {d}")
 
 
 def _d_facts(d: int) -> tuple[bool, bool]:

@@ -141,6 +141,11 @@ class TestGroupStructure:
         assert (s.h, s.cyclic_orders, s.has_order_4_element) == (1, [1], False)
         s = group_structure(-84)
         assert (s.h, s.cyclic_orders, s.has_order_4_element) == (4, [2, 2], False)
+        for d, factors in ((-420, [2, 2, 2]), (-1056, [4, 2, 2]), (-1872, [4, 4]),
+                           (-3080, [8, 2, 2]), (-3536, [8, 4])):
+            s = group_structure(d)
+            assert (s.h, s.cyclic_orders) == (math.prod(factors), factors), d
+            assert s.has_order_4_element == (factors[0] % 4 == 0)
 
     def test_invariant_factors_consistent(self):
         for d in range(-1000, -2):
@@ -156,8 +161,15 @@ class TestGroupStructure:
             for big, small in zip(s.cyclic_orders, s.cyclic_orders[1:]):
                 assert big % small == 0
             exponent = s.cyclic_orders[0]
-            for f in enumerate_reduced(d):
-                assert form_pow(f, exponent) == principal_form(d)
+            forms, e = enumerate_reduced(d), principal_form(d)
+            for f in forms:
+                assert form_pow(f, exponent) == e
+            # Orders fix the group: in Z/k1 x ... x Z/kr, exactly
+            # prod gcd(m, k) elements have order dividing m.
+            for m in range(1, exponent + 1):
+                if exponent % m == 0:
+                    killed = sum(1 for f in forms if form_pow(f, m) == e)
+                    assert killed == math.prod(math.gcd(m, k) for k in s.cyclic_orders)
 
 
 class TestRepresentedByClass:

@@ -135,9 +135,11 @@ class TestVerify:
         assert keys == sorted(keys)
 
     def test_invalid_generalized_d_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--pmax", "120", "--d", "9",
-                             "--generalized")
-        assert code == 2
+        for d in ("9", "175"):  # 175 = 7 (mod 24) but 25 | 175
+            code, out, err = run_cli(capsys, "verify", "--pmax", "120", "--d", d,
+                                     "--generalized")
+            assert code == 2 and out == ""
+            assert f"d must be square-free and = 7 (mod 24), got {d}" in err
 
     def test_non_generalized_requires_d7(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--pmax", "120", "--d", "31")
@@ -174,8 +176,9 @@ class TestClassgroup:
         assert record["h"] == 1 and record["forms"] == [[1, 1, 2]]
 
     def test_invalid_discriminant_exits_2(self, capsys):
-        assert run_cli(capsys, "classgroup", "5")[0] == 2
-        assert run_cli(capsys, "classgroup", "-6")[0] == 2
+        for d in ("5", "-6"):
+            assert run_cli(capsys, "classgroup", d) == (
+                2, "", "gmforms: error: discriminant must be negative and = 0 or 1 (mod 4)\n")
 
 
 class TestCongruences:

@@ -191,7 +191,7 @@ class TestRunSuite:
 
     def test_invalid_d_rejected(self):
         for d in (9, 175):  # 175 = 7 (mod 24) but 25 | 175
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"got {d}$"):
                 run_suite(120, [7, d])
 
     def test_matches_public_audits(self):
