@@ -32,9 +32,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # fold costs more than the long division it replaces.
 _FOLD_MIN_BITS = 500
 
-# _powmod multiplies by a base of at most this many bits without a fold.
-_SMALL_BASE_BITS = 32
-
 
 class NotPrimeError(ValueError):
     """A modulus taken to be prime failed an identity that holds for primes."""
@@ -46,9 +43,9 @@ def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
     They are Mersenne numbers M_k = 2^k - 1 (k >= 70) and Gaussian Mersenne
     norms n = 2^k - eps*2^h + 1, 2h = k + 1, eps = +-1 (h >= 70); any other
     n, and any n under _FOLD_MIN_BITS, gets None.  The map takes an x with
-    |x| < 2^(2k+70), a product of two folded values or the square of one
-    times a base of _SMALL_BASE_BITS bits, to a y = x (mod n), possibly
-    negative, with |y| < 2^(k+2); apply it after every product.
+    |x| < 2^(2k+70), such as a product of two folded values, to a y = x
+    (mod n), possibly negative, with |y| < 2^(k+2); apply it after every
+    product.
 
     M_k: 2^k = 1, so x <- (x mod 2^k) + (x >> k), twice.  The first pass
     leaves -2^(k+70) <= x < 2^(k+71), the second -2^70 <= y < 2^k + 2^71.
@@ -87,35 +84,23 @@ def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
     return fold_plus if n < 1 << k else fold_minus
 
 
-def _powmod(a: int, e: int, n: int) -> int:
-    """pow(a, e, n) for e >= 0, n > 1, by square-and-multiply with _fold_mod
-    when n has its shape; builtin pow otherwise.
-
-    a is taken as its least absolute residue.  When that has at most
-    _SMALL_BASE_BITS bits (a Proth witness; -7 given as n - 7), the product
-    by it is left to the next square's fold."""
+def _squarings(x: int, j: int, n: int) -> int:
+    """x^(2^j) for j >= 0 and |x| < n, up to a multiple of n, by j squares
+    reduced by _fold_mod(n); n must have its shape."""
     fold = _fold_mod(n)
-    if fold is None:
-        return pow(a, e, n)
-    a %= n
-    if 2 * a > n:
-        a -= n
-    small = a.bit_length() <= _SMALL_BASE_BITS
-    x = a if e else 1
-    for bit in bin(e)[3:]:
+    for _ in range(j):
         x = fold(x * x)
-        if bit == "1":
-            x = x * a if small else fold(x * a)
-    return x % n
+    return x
 
 
-def _lucas_v(c: int, m: int, n: int) -> int:
-    """V_m(c, 1) for m >= 1 and |c| < n, up to a multiple of n.
+def _lucas_v(c: int, m: int, n: int) -> tuple[int, int]:
+    """(V_m, V_{j+1}) of V(c, 1) for m >= 1 with odd part j and |c| < n, up
+    to multiples of n; for odd m that is (V_m, V_{m+1}).
 
-    V_0 = 2, V_1 = c, V_{j+1} = c*V_j - V_{j-1}.  A ladder over the odd part
-    of m keeps (V_j, V_{j+1}) by V_2j = V_j^2 - 2 and V_{2j+1} = V_j*V_{j+1}
-    - c, one square and one product per bit; then V <- V^2 - 2 once per
-    factor 2 of m.  Products reduce by _fold_mod(n) when n has its shape.
+    V_0 = 2, V_1 = c, V_{j+1} = c*V_j - V_{j-1}.  A ladder over j keeps
+    (V_i, V_{i+1}) by V_2i = V_i^2 - 2 and V_{2i+1} = V_i*V_{i+1} - c, one
+    square and one product per bit; then V <- V^2 - 2 once per factor 2 of
+    m.  Products reduce by _fold_mod(n) when n has its shape.
     """
     fold = _fold_mod(n) or (lambda x: x % n)
     z = (m & -m).bit_length() - 1
@@ -127,7 +112,7 @@ def _lucas_v(c: int, m: int, n: int) -> int:
             v, w = fold(v * v - 2), fold(v * w - c)
     for _ in range(z):
         v = fold(v * v - 2)
-    return v
+    return v, w
 
 
 def jacobi(a: int, n: int) -> int:
@@ -181,7 +166,11 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     if jacobi(a, p) != 1:
         return None
     if p % 4 == 3:
-        r = _powmod(a, (p + 1) // 4, p)
+        # The one folded shape = 3 (mod 4) is M_k, where (p+1)/4 = 2^(k-2).
+        if _fold_mod(p) is None:
+            r = pow(a, (p + 1) // 4, p)
+        else:
+            r = _squarings(a, p.bit_length() - 2, p) % p
     else:
         if math.isqrt(p) ** 2 == p:
             # Every unit has Jacobi symbol 1: the search for t would not end.
@@ -189,7 +178,7 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
         t = 1
         while jacobi(a * t * t - 4, p) != -1:
             t += 1
-        v = _lucas_v((a * t * t - 2) % p, (p - 1) >> 2, p)
+        v, _ = _lucas_v((a * t * t - 2) % p, (p - 1) >> 2, p)
         try:
             r = v * pow(t, -1, p) % p
         except ValueError:
@@ -231,32 +220,34 @@ def _selfridge_d(n: int) -> Optional[int]:
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:
-    # Strong Lucas test with Selfridge parameters (P = 1, Q = (1 - D) / 4).
+    """Strong Lucas test with Selfridge's (P, Q) = (1, (1 - D)/4), run on V(c, 1).
+
+    With n + 1 = k*2^s, k odd, n passes iff U_k = 0 or V_{k*2^r} = 0 (mod n)
+    for some 0 <= r < s.  For alpha, alpha' the roots of X^2 - X + Q and
+    gcd(n, 2QD) = 1, that is beta^k = +-1 or beta^(k*2^r) = -1 for r >= 1,
+    where beta = alpha/alpha' is a root of X^2 - cX + 1 with c = 1/Q - 2, so
+    V_2i(1, Q) = Q^i * V_i(c, 1).  beta^k = +-1 iff V_k(c, 1) = +-2 and
+    2*V_{k+1} = c*V_k, as 2*V_{k+1} - c*V_k = (c^2 - 4)*U_k(c, 1) and
+    c^2 - 4 = D/Q^2 is a unit; beta^(k*2^r) = -1 iff V_{k*2^(r-1)}(c, 1) = 0.
+    _selfridge_d gives gcd(n, D) = 1, and gcd(n, Q) = 1 as well: an odd
+    prime p dividing n and Q is below |D|, so D' = +-p (or 9 for p = 3) came
+    first with (D'/n) = 0, and p = n would make (D/n) = (1/n) = 1.
+    """
     if math.isqrt(n) ** 2 == n:
         return False
     d = _selfridge_d(n)
     if d is None:
         return False
-    p_par, q_par = 1, (1 - d) // 4
-    k, s = n + 1, 0
-    while k % 2 == 0:
-        k //= 2
-        s += 1
-    inv2 = (n + 1) // 2
-    u, v, qk = 1, p_par, q_par % n
-    for bit in bin(k)[3:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":
-            u, v = (p_par * u + v) * inv2 % n, (d * u + p_par * v) * inv2 % n
-            qk = qk * q_par % n
-    if u == 0 or v == 0:
+    c = (pow((1 - d) // 4, -1, n) - 2) % n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    v, w = _lucas_v(c, (n + 1) >> s, n)
+    if v % n in (2, n - 2) and (2 * w - c * v) % n == 0:
         return True
+    fold = _fold_mod(n) or (lambda x: x % n)
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
-        if v == 0:
+        if v % n == 0:
             return True
-        qk = qk * qk % n
+        v = fold(v * v - 2)
     return False
 
 
@@ -301,7 +292,13 @@ def proth_test(n: int) -> bool:
         if j == 0:
             return n == a
         if j == -1:
-            return _powmod(a, (n - 1) // 2, n) == n - 1
+            if _fold_mod(n) is None:
+                return pow(a, (n - 1) // 2, n) == n - 1
+            # The folded Proth shape is n = 2^(2m-1) - eps*2^m + 1, where
+            # (n-1)/2 = 2^(2m-2) - eps*2^(m-1), and a is a unit.
+            y = _squarings(a, m - 1, n)
+            z = _squarings(y, m - 1, n)
+            return (z + y if n < 1 << (2 * m - 1) else z * y + 1) % n == 0
         a += 1
 
 
@@ -317,4 +314,4 @@ def lucas_lehmer(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
     m = (1 << p) - 1
-    return _lucas_v(4, 1 << (p - 2), m) % m == 0
+    return _lucas_v(4, 1 << (p - 2), m)[0] % m == 0

@@ -19,7 +19,7 @@ from .arith import NotPrimeError, is_probable_prime
 from .classgroup import enumerate_reduced, group_structure
 from .gm import DEFAULT_MAX_EXPONENT, gm_norm, predict_congruences, scan_exponents
 from .represent import BRUTEFORCE_CAP, cornacchia, represent_bruteforce
-from .verify import VERDICT_NO_REPRESENTATION, VERDICT_REFUTED, run_suite
+from .verify import VERDICT_NO_REPRESENTATION, VERDICT_REFUTED, check_d, run_suite
 from . import report
 
 CONFIG_ENV_VAR = "GMFORMS_CONFIG"
@@ -150,6 +150,8 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> int:
     d_list = _parse_d_list(args.d)
     if not args.generalized and d_list != [7]:
         raise UsageError("without --generalized only --d 7 is supported")
+    for d in d_list:
+        check_d(d)
     print(f"auditing exponents up to {args.pmax} for d in {d_list}", file=sys.stderr)
     records, summary = run_suite(args.pmax, d_list)
     envelope = report.make_envelope(

@@ -16,16 +16,11 @@ from . import __version__
 from .classgroup import ClassGroupSummary, QuadForm
 from .gm import GmNorm
 from .represent import Representation
-from .verify import HypothesisFlags, VerificationRecord
+from .verify import VerificationRecord
 
 
 def representation_to_dict(rep: Representation) -> dict[str, Any]:
     return {"n": str(rep.n), "d": rep.d, "x": str(rep.x), "y": str(rep.y)}
-
-
-def representation_from_dict(data: dict[str, Any]) -> Representation:
-    return Representation(n=int(data["n"]), d=data["d"],
-                          x=int(data["x"]), y=int(data["y"]))
 
 
 def gm_norm_to_dict(norm: GmNorm) -> dict[str, Any]:
@@ -50,21 +45,6 @@ def verification_record_to_dict(record: VerificationRecord) -> dict[str, Any]:
         "artin_trivial": record.artin_trivial,
         "verdict": record.verdict,
     }
-
-
-def verification_record_from_dict(data: dict[str, Any]) -> VerificationRecord:
-    rep = data["representation"]
-    return VerificationRecord(
-        p=data["p"],
-        d=data["d"],
-        g_value=int(data["g_value"]),
-        hypothesis_flags=HypothesisFlags(**data["hypothesis_flags"]),
-        representation=representation_from_dict(rep) if rep else None,
-        x_mod8=data["x_mod8"],
-        y_mod8=data["y_mod8"],
-        artin_trivial=data["artin_trivial"],
-        verdict=data["verdict"],
-    )
 
 
 def class_group_to_dict(summary: ClassGroupSummary,

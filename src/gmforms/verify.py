@@ -108,7 +108,8 @@ def artin_class_d7(x: int, y: int) -> str:
     return "trivial" if (x + 3 * y) % 8 in (1, 7) else "rho"
 
 
-def _check_d(d: int) -> None:
+def check_d(d: int) -> None:
+    """ValueError unless d is square-free and d = 7 (mod 24), as the audit needs."""
     if d % 24 != 7 or not _is_squarefree(d):
         raise ValueError(f"d must be square-free and = 7 (mod 24), got {d}")
 
@@ -164,9 +165,7 @@ def audit_theorem_d7(p: int) -> VerificationRecord:
     p = 7 yields an out-of-theorem-range record: G_7 = 113 = 1 + 7*16 has
     y = 4, which the p > 7 hypothesis deliberately excludes.
     """
-    if p < 7:
-        raise ValueError("theorem audit needs p >= 7")
-    return _audit(gm_norm(p), 7, _d_facts(7))
+    return audit_generalized(p, 7)
 
 
 def audit_generalized(p: int, d: int) -> VerificationRecord:
@@ -176,7 +175,7 @@ def audit_generalized(p: int, d: int) -> VerificationRecord:
     form class group of discriminant -8d (the computable stand-in for the
     cyclic quartic extension the theorem assumes).
     """
-    _check_d(d)
+    check_d(d)
     if p < 7:
         raise ValueError("theorem audit needs p >= 7")
     return _audit(gm_norm(p), d, _d_facts(d))
@@ -232,7 +231,7 @@ def run_suite(p_max: int,
         raise ValueError("p_max must be >= 7")
     d_values = sorted(set(d_list))
     for d in d_values:
-        _check_d(d)
+        check_d(d)
     facts = {d: _d_facts(d) for d in d_values}
     norms = [norm for norm in scan_exponents(3, p_max) if norm.p >= 7]
     records = [_audit(norm, d, facts[d]) for norm in norms for d in d_values]

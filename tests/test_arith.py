@@ -9,7 +9,8 @@ from gmforms.arith import (
     NotPrimeError,
     _fold_mod,
     _lucas_v,
-    _powmod,
+    _squarings,
+    _strong_lucas_probable_prime,
     is_probable_prime,
     jacobi,
     lucas_lehmer,
@@ -59,50 +60,6 @@ def tonelli_shanks(a, p):
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
-
-
-def slow_pow(base, exp, modulus):
-    # Repeated-squaring oracle, written independently of _powmod.
-    result = 1 % modulus
-    base %= modulus
-    for bit in bin(exp)[2:]:
-        result = result * result % modulus
-        if bit == "1":
-            result = result * base % modulus
-    return result
-
-
-class TestModPow:
-    """_powmod's contract at small moduli, where it takes builtin pow."""
-
-    def test_examples(self):
-        assert _powmod(2, 7, 113) == 15
-        assert _powmod(2, 47, 7) == 4
-        assert _powmod(2, 47, 7) == slow_pow(2, 47, 7)
-
-    def test_zero_exponent(self):
-        for x in (0, 1, 5, 12345):
-            assert _powmod(x, 0, 7) == 1
-        assert _powmod(3, 0, 1) == 0
-
-    def test_zero_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            _powmod(2, 3, 0)
-
-    def test_fermat_little_theorem(self):
-        rng = random.Random(1)
-        for p in primes_up_to(10**4):
-            a = rng.randrange(1, 10**6)
-            if a % p:
-                assert _powmod(a, p - 1, p) == 1
-
-    def test_matches_slow_oracle_random(self):
-        rng = random.Random(2)
-        for _ in range(200):
-            b = rng.randrange(0, 1 << 64)
-            e = rng.randrange(0, 1 << 20)
-            m = rng.randrange(1, 1 << 40)
-            assert _powmod(b, e, m) == slow_pow(b, e, m)
 
 
 @pytest.fixture(autouse=True)
@@ -164,20 +121,46 @@ FOLD_MODULI = {
 }
 
 
+def exponentiations(n):
+    # Run proth_test when n has Proth form, and the p = 3 (mod 4) root when n
+    # has that residue, each checked against builtin pow; return the
+    # (base, exponent, modulus) of each builtin pow they make without a fold.
+    expected = []
+    if is_proth_form(n):
+        a = 2
+        while jacobi(a, n) == 1:
+            a += 1
+        euler = builtins.pow(a, (n - 1) // 2, n)
+        assert proth_test(n) == (jacobi(a, n) == -1 and euler == n - 1), n
+        if jacobi(a, n) == -1:
+            expected.append((a, (n - 1) // 2, n))
+    if n % 4 == 3:
+        for a in (4, random.Random(n).randrange(n) ** 2 % n):
+            r = builtins.pow(a, (n + 1) // 4, n)
+            try:
+                assert sqrt_mod_prime(a, n) == min(r, n - r) and r * r % n == a, n
+            except NotPrimeError:
+                assert r * r % n != a, n
+            expected.append((a, (n + 1) // 4, n))
+    return expected
+
+
 class TestPowmod:
-    """The shift-and-add kernel behind proth_test, sqrt_mod_prime and
-    lucas_lehmer, against builtin pow."""
+    """The shift-and-add kernel behind proth_test, sqrt_mod_prime,
+    lucas_lehmer and the strong Lucas test, against builtin pow."""
 
     @pytest.mark.parametrize("name", SPECIAL_MODULI)
     def test_special_forms_match_pow(self, name, fold_all_sizes):
+        # The squaring chain, up to the k - 2 squares of the M_k root.
         n = SPECIAL_MODULI[name]
+        k = n.bit_length()
         assert _fold_mod(n) is not None
         rng = random.Random(name)
-        for a in (0, 1, n - 1, n + 5, -7, rng.randrange(n)):
-            for e in (0, 1, 2, 3, rng.randrange(1 << 64)):
-                assert _powmod(a, e, n) == pow(a, e, n), (a, e)
-        a, e = rng.randrange(n), rng.randrange(n)
-        assert _powmod(a, e, n) == pow(a, e, n)
+        for x in (0, 1, n - 1, -(n - 1), -7, rng.randrange(n)):
+            for j in (0, 1, 2, 3, 70):
+                assert _squarings(x, j, n) % n == pow(x, 1 << j, n), (x, j)
+        x = rng.randrange(n)
+        assert _squarings(x, k - 2, n) % n == pow(x, 1 << (k - 2), n)
 
     @pytest.mark.parametrize("name", SPECIAL_MODULI)
     def test_fold_is_a_short_residue(self, name, fold_all_sizes):
@@ -207,19 +190,16 @@ class TestPowmod:
     def test_gp_fold_bounded_under_squaring(self, name, fold_all_sizes):
         k, n = FOLD_MODULI[name]
         fold = _fold_mod(n)
-        small = -(1 << arith._SMALL_BASE_BITS) + 1
         # Starts at both ends of the fold's output range.
         for start in ((1 << (k + 2)) - 1, -(1 << (k + 1)) - (1 << ((k + 3) // 2))):
-            x = y = start
+            x = start
             for _ in range(500):
                 x = fold(x * x)
-                y = fold((y * small) ** 2)
-                assert abs(x) < 1 << (k + 2) and abs(y) < 1 << (k + 2)
+                assert abs(x) < 1 << (k + 2)
             assert x % n == pow(start, 1 << 500, n)
-            assert y % n == pow(start, 1 << 500, n) * pow(small, (1 << 501) - 2, n) % n
 
     @pytest.mark.parametrize("name", SPECIAL_MODULI)
-    def test_small_bases_skip_the_fold(self, name, fold_all_sizes, monkeypatch):
+    def test_chain_folds_each_square(self, name, fold_all_sizes, monkeypatch, pow_calls):
         n = SPECIAL_MODULI[name]
         folds = []
         fold_mod = arith._fold_mod
@@ -229,26 +209,28 @@ class TestPowmod:
             return lambda x: folds.append(x) or fold(x)
 
         monkeypatch.setattr(arith, "_fold_mod", counted)
-        rng = random.Random(name)
-        limit = 1 << arith._SMALL_BASE_BITS
-        # (n - 1) / 2 cut to at most 1400 bits, half ones for G_p with eps = 1.
-        half = (n - 1) >> max(1, n.bit_length() - 1400)
-        for a in (-1, -7, 3, -(limit - 1), n - 7, -limit, n - limit, rng.randrange(n)):
-            for e in (0, 1, 2, 3, rng.randrange(1 << 64), half):
-                folds.clear()
-                assert _powmod(a, e, n) == pow(a, e, n), (a, e)
-                least = min(a % n, a % n - n, key=abs)
-                extra = 0 if abs(least) < limit else bin(e).count("1") - 1
-                assert len(folds) == max(e.bit_length() - 1, 0) + max(extra, 0), (a, e)
+        for j in (0, 1, 5, 70):
+            folds.clear()
+            _squarings(-7, j, n)
+            assert len(folds) == j
+        # Proth on G_p: two chains of m - 1 = (p - 1)/2 squares.  The M_k root:
+        # one chain of k - 2 squares.  Neither calls builtin pow.
+        folds.clear()
+        assert exponentiations(n)
+        p = int(name[2:])
+        assert len(folds) == (p - 1 if name.startswith("G") else 2 * (p - 2)) and pow_calls == []
 
     def test_only_two_shapes_fold(self, fold_all_sizes, pow_calls):
         folded = [m_value(k) for k in (70, 71, 139, 521)] + [
             (1 << k) - eps * (1 << (k + 1) // 2) + 1 for k in (139, 141, 521) for eps in (1, -1)]
         for n in folded:
             assert _fold_mod(n) is not None, n
-            for a in (0, 1, n - 1, n + 5, -7):
-                for e in (0, 1, 2, 12345, n - 2):
-                    assert _powmod(a, e, n) == builtins.pow(a, e, n), (a, e, n)
+            for x in (0, 1, n - 1, -7):
+                for j in (0, 1, 2, 12):
+                    assert _squarings(x, j, n) % n == builtins.pow(x, 1 << j, n), (x, j, n)
+            pow_calls.clear()
+            exponentiations(n)
+            assert pow_calls == [], n
         others = [m_value(k) + s for k in (139, 521) for s in (2, -2)]
         for k in (139, 140, 521):
             others.append((1 << k) + 1)
@@ -257,24 +239,23 @@ class TestPowmod:
         others += [(1 << 139) - (1 << 69) + 1, (1 << 139) + (1 << 69) + 1]
         # Both shapes one bit short of the 70-bit margin.
         others += [m_value(69), (1 << 137) - (1 << 69) + 1, (1 << 137) + (1 << 69) + 1]
+        taken = 0
         for n in others:
             assert _fold_mod(n) is None, n
-            for a in (0, 1, n - 1, -7):
-                for e in (0, 1, 12345):
-                    pow_calls.clear()
-                    assert _powmod(a, e, n) == builtins.pow(a, e, n)
-                    assert pow_calls == [(a, e, n)]
+            pow_calls.clear()
+            expected = exponentiations(n)
+            assert pow_calls == expected, n
+            taken += len(expected)
+        assert taken >= 10
 
     def test_other_moduli_take_builtin_pow(self, fold_all_sizes, pow_calls):
         proth = 1234567 * 2**800 + 1  # Proth, but 1234567 is no 2^j +- 1
-        odd = random.Random(7).randrange(1 << 1500) | 1
+        odd = random.Random(7).randrange(1 << 1500) | 3
         for n in (proth, odd):
             assert _fold_mod(n) is None
-            for a in (0, 1, n - 1, n + 5, -7):
-                for e in (0, 1, 12345):
-                    pow_calls.clear()
-                    assert _powmod(a, e, n) == builtins.pow(a, e, n)
-                    assert pow_calls == [(a, e, n)]
+            pow_calls.clear()
+            expected = exponentiations(n)
+            assert len(expected) == (1 if n == proth else 2) and pow_calls == expected
 
     def test_short_moduli_take_builtin_pow(self):
         bits = arith._FOLD_MIN_BITS
@@ -304,8 +285,10 @@ class TestLucasV:
         for c in (0, 2, n - 1, -(n - 1), rng.randrange(n), -rng.randrange(n)):
             prev, v = 2, c % n  # V_0, V_1
             for m in range(1, 301):
-                assert _lucas_v(c, m, n) % n == v, (c, m)
-                prev, v = v, (c * v - prev) % n
+                after = (c * v - prev) % n
+                v_m, w = _lucas_v(c, m, n)
+                assert v_m % n == v and (m % 2 == 0 or w % n == after), (c, m)
+                prev, v = v, after
 
 
 class TestJacobi:
@@ -470,6 +453,22 @@ class TestIsProbablePrime:
         assert not is_probable_prime((1 << 128) - 1)
         # Perfect squares above 2^64 exercise the Lucas pre-screen.
         assert not is_probable_prime(((1 << 40) + 15) ** 2)
+
+
+#: OEIS A217255, the strong Lucas pseudoprimes (Selfridge's parameters)
+#: below 2*10^5.
+A217255 = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+           75077, 97439, 100127, 113573, 115639, 130139, 155819, 158399, 161027,
+           162133, 176399, 176471, 189419, 192509, 197801)
+
+
+class TestStrongLucas:
+    def test_verdicts_below_2e5(self):
+        # Every odd n: the primes pass, and of the composites exactly A217255.
+        primes = set(primes_up_to(2 * 10**5)) - {2}
+        passed = {n for n in range(1, 2 * 10**5, 2) if _strong_lucas_probable_prime(n)}
+        assert primes <= passed
+        assert sorted(passed - primes) == list(A217255)
 
 
 def is_proth_form(n):
