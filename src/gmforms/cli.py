@@ -1,9 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success/confirmed, 1 legitimate negative (no representation,
-or strict-mode unexpected failures), 2 usage error, 3 refuted theorem,
-4 internal error (a number taken to be prime failed a prime-only identity,
-or the arithmetic met a case it rules out).
+or with --strict any no-representation verdict), 2 usage error, 3 refuted
+theorem, 4 internal error (a number taken to be prime failed a prime-only
+identity, or the arithmetic met a case it rules out).
 Progress goes to stderr; the data stream stays machine-clean.
 """
 
@@ -19,7 +19,7 @@ from .arith import NotPrimeError, is_probable_prime
 from .classgroup import enumerate_reduced, group_structure
 from .gm import DEFAULT_MAX_EXPONENT, gm_norm, predict_congruences, scan_exponents
 from .represent import BRUTEFORCE_CAP, cornacchia, represent_bruteforce
-from .verify import VERDICT_NO_REPRESENTATION, VERDICT_REFUTED, check_d, run_suite
+from .verify import check_d, run_suite
 from . import report
 
 CONFIG_ENV_VAR = "GMFORMS_CONFIG"
@@ -86,7 +86,7 @@ def _parse_d_list(raw: str) -> list[int]:
         raise UsageError(f"bad --d list: {raw!r}") from exc
     if not values:
         raise UsageError("empty --d list")
-    return values
+    return list(dict.fromkeys(values))
 
 
 def _check_cap(config: dict[str, int], option: str, p: int) -> None:
@@ -96,7 +96,11 @@ def _check_cap(config: dict[str, int], option: str, p: int) -> None:
         raise UsageError(f"{option} must be <= {cap} (max_exponent), got {p}")
 
 
-def cmd_scan(args: argparse.Namespace, config: dict[str, int]) -> int:
+# Each cmd_* returns its report envelope and the exit code; main writes the report.
+Outcome = tuple[dict[str, Any], int]
+
+
+def cmd_scan(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     if not 3 <= args.pmin <= args.pmax:
         raise UsageError("need 3 <= pmin <= pmax")
     _check_cap(config, "--pmax", args.pmax)
@@ -104,14 +108,13 @@ def cmd_scan(args: argparse.Namespace, config: dict[str, int]) -> int:
     envelope = report.make_envelope(
         "scan",
         {"pmin": args.pmin, "pmax": args.pmax},
-        [report.gm_norm_to_dict(norm) for norm in hits],
+        [report.to_dict(norm) for norm in hits],
         {"count": len(hits)},
     )
-    _write_report(envelope, args.emit, args.out)
-    return 0
+    return envelope, 0
 
 
-def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> int:
+def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     if args.d < 1:
         raise UsageError("--d must be >= 1")
     if args.p < 3 or not is_probable_prime(args.p):
@@ -129,7 +132,7 @@ def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> int:
         "d": args.d,
         "g_value": str(norm.value),
         "primality": norm.primality,
-        "representation": report.representation_to_dict(rep) if rep else None,
+        "representation": report.to_dict(rep) if rep else None,
         "x_mod8": rep.x % 8 if rep else None,
         "y_mod8": rep.y % 8 if rep else None,
     }
@@ -139,11 +142,10 @@ def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> int:
         [record],
         {"solved": 1 if rep else 0},
     )
-    _write_report(envelope, args.emit, args.out)
-    return 0 if rep else 1
+    return envelope, 0 if rep else 1
 
 
-def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> int:
+def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     if args.pmax < 7:
         raise UsageError("need pmax >= 7")
     _check_cap(config, "--pmax", args.pmax)
@@ -162,23 +164,16 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> int:
             "generalized": args.generalized,
             "strict": args.strict,
         },
-        [report.verification_record_to_dict(r) for r in records],
+        [report.to_dict(r) for r in records],
         summary,
     )
-    _write_report(envelope, args.emit, args.out)
     if summary["refuted"] > 0:
-        return 3
-    if args.strict:
-        unexpected = [
-            r for r in records
-            if r.verdict == VERDICT_NO_REPRESENTATION and r.hypothesis_flags.all_pass()
-        ]
-        if unexpected:
-            return 1
-    return 0
+        return envelope, 3
+    # The audit gives no-representation only to records meeting every hypothesis.
+    return envelope, 1 if args.strict and summary["no-representation"] else 0
 
 
-def cmd_classgroup(args: argparse.Namespace, config: dict[str, int]) -> int:
+def cmd_classgroup(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     d = args.discriminant
     summary = group_structure(d)
     forms = enumerate_reduced(d)
@@ -188,47 +183,37 @@ def cmd_classgroup(args: argparse.Namespace, config: dict[str, int]) -> int:
         [report.class_group_to_dict(summary, forms)],
         {"h": summary.h},
     )
-    _write_report(envelope, args.emit, args.out)
-    return 0
+    return envelope, 0
 
 
-def cmd_congruences(args: argparse.Namespace, config: dict[str, int]) -> int:
+def cmd_congruences(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     if args.p < 3 or not is_probable_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     _check_cap(config, "--p", args.p)
     prediction = predict_congruences(args.p)
     norm = gm_norm(args.p)
     records = []
-    predicted = {
-        "mod8": prediction.mod8,
-        "mod16": prediction.mod16,
-        "mod32": prediction.mod32,
-        "mod7": prediction.mod7,
-    }
-    moduli = {"mod8": 8, "mod16": 16, "mod32": 32, "mod7": 7}
-    matched = 0
-    for key, modulus in moduli.items():
+    for modulus in (8, 16, 32, 7):
+        key = f"mod{modulus}"
+        predicted = getattr(prediction, key)
         actual = norm.value % modulus
         applicable = prediction.applicable[key]
-        match = (actual == predicted[key]) if applicable else None
-        if match:
-            matched += 1
         records.append({
             "p": args.p,
             "modulus": modulus,
-            "predicted": predicted[key],
+            "predicted": predicted,
             "actual": actual,
             "applicable": applicable,
-            "match": match,
+            "match": actual == predicted if applicable else None,
         })
     envelope = report.make_envelope(
         "congruences",
         {"p": args.p},
         records,
-        {"applicable": sum(1 for r in records if r["applicable"]), "matched": matched},
+        {"applicable": sum(1 for r in records if r["applicable"]),
+         "matched": sum(1 for r in records if r["match"])},
     )
-    _write_report(envelope, args.emit, args.out)
-    return 0
+    return envelope, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +267,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        return args.func(args, config)
+        envelope, code = args.func(args, config)
+        _write_report(envelope, args.emit, args.out)
+        return code
     except UsageError as exc:
         print(f"gmforms: error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .arith import is_probable_prime, jacobi, primes_up_to, proth_test
 
-#: Exponents above this are refused by the scanner (desk-scale cap).
+#: Desk-scale cap on exponents, enforced by the CLI (cli._check_cap) only.
 DEFAULT_MAX_EXPONENT = 2000
 
 

@@ -1,8 +1,9 @@
 """Report serialization: JSON envelopes and aligned-text tables.
 
-Big integers are serialized as decimal strings (they exceed 64-bit and
-float-safe ranges); field names are snake_case.  The generated_at timestamp
-is the only field excluded from determinism comparisons.
+The fields holding a norm or a coordinate (value, g_value, n, x, y) are
+serialized as decimal strings, since they exceed 64-bit and float-safe
+ranges; field names are snake_case.  The generated_at timestamp is the only
+field excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -14,48 +15,23 @@ from typing import Any
 
 from . import __version__
 from .classgroup import ClassGroupSummary, QuadForm
-from .gm import GmNorm
-from .represent import Representation
-from .verify import VerificationRecord
+
+#: Record fields written as decimal strings, at any nesting depth.
+DECIMAL_FIELDS = frozenset({"value", "g_value", "n", "x", "y"})
 
 
-def representation_to_dict(rep: Representation) -> dict[str, Any]:
-    return {"n": str(rep.n), "d": rep.d, "x": str(rep.x), "y": str(rep.y)}
+def _decimal_strings(fields: list[tuple[str, Any]]) -> dict[str, Any]:
+    return {k: str(v) if k in DECIMAL_FIELDS else v for k, v in fields}
 
 
-def gm_norm_to_dict(norm: GmNorm) -> dict[str, Any]:
-    return {
-        "p": norm.p,
-        "epsilon": norm.epsilon,
-        "value": str(norm.value),
-        "primality": norm.primality,
-    }
-
-
-def verification_record_to_dict(record: VerificationRecord) -> dict[str, Any]:
-    rep = record.representation
-    return {
-        "p": record.p,
-        "d": record.d,
-        "g_value": str(record.g_value),
-        "hypothesis_flags": asdict(record.hypothesis_flags),
-        "representation": representation_to_dict(rep) if rep else None,
-        "x_mod8": record.x_mod8,
-        "y_mod8": record.y_mod8,
-        "artin_trivial": record.artin_trivial,
-        "verdict": record.verdict,
-    }
+def to_dict(record: Any) -> dict[str, Any]:
+    """A record dataclass as a JSON-ready dict, in field order."""
+    return asdict(record, dict_factory=_decimal_strings)
 
 
 def class_group_to_dict(summary: ClassGroupSummary,
                         forms: list[QuadForm]) -> dict[str, Any]:
-    return {
-        "discriminant": summary.discriminant,
-        "h": summary.h,
-        "cyclic_orders": list(summary.cyclic_orders),
-        "has_order_4_element": summary.has_order_4_element,
-        "forms": [[f.a, f.b, f.c] for f in forms],
-    }
+    return {**asdict(summary), "forms": [[f.a, f.b, f.c] for f in forms]}
 
 
 def make_envelope(command: str, parameters: dict[str, Any],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import time
@@ -7,7 +8,7 @@ import pytest
 
 from gmforms import arith, cli
 from gmforms.cli import main
-from gmforms.report import verification_record_to_dict
+from gmforms.report import to_dict
 from gmforms.verify import run_suite
 
 
@@ -146,10 +147,24 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--pmax", "120", "--d", "31")
         assert code == 2
 
+    def test_repeated_d_audited_once(self, capsys):
+        code, envelope = run_json(capsys, "verify", "--pmax", "120", "--d", "7,7")
+        _, single = run_json(capsys, "verify", "--pmax", "120", "--d", "7")
+        assert code == 0 and envelope["parameters"]["d"] == [7]
+        assert envelope["records"] == single["records"]
+
+    def test_strict_fails_on_no_representation(self, capsys):
+        # Below 600, d = 31 has 10 no-representation records and no refutation.
+        argv = ("verify", "--pmax", "600", "--d", "31", "--generalized")
+        code, envelope = run_json(capsys, *argv, "--strict")
+        assert code == 1 and envelope["summary"]["no-representation"] == 10
+        assert run_json(capsys, *argv)[0] == 0
+        assert run_json(capsys, "verify", "--pmax", "120", "--d", "7", "--strict")[0] == 0
+
     def test_json_roundtrip(self, capsys):
         _, envelope = run_json(capsys, "verify", "--pmax", "120", "--d", "7")
         records, _ = run_suite(120, [7])
-        assert [verification_record_to_dict(r) for r in records] == envelope["records"]
+        assert [to_dict(r) for r in records] == envelope["records"]
 
     def test_progress_on_stderr_only(self, capsys):
         _, out, err = run_cli(capsys, "verify", "--pmax", "120", "--d", "7")
@@ -196,6 +211,47 @@ class TestCongruences:
 
     def test_p_above_cap_exits_2_fast(self, capsys):
         assert_refused_fast(capsys, "congruences", "--p", "100003")
+
+
+# SHA-256 of each report, recorded before the per-type record serializers
+# gave way to one dataclass-driven one: the sorted-key JSON envelope without
+# generated_at, and the table text, whose columns follow the record key order.
+REPORT_DIGESTS = [
+    (("scan", "--pmin", "3", "--pmax", "400"),
+     "f5f297f889c3f3195d39bf4eff36adac26b72bdf3b025ba2df54b60d4390a5d0",
+     "c7d06e11364b18c591ed81ade1b82260928c9c1789d45d680bfd27da33aa524c"),
+    (("represent", "--p", "47", "--d", "7"),
+     "b241d7265e9c78e9cb30eff1690ce9dc7b3ce09b8cb3aa8a3e2f451c481219b1",
+     "3c3fd81bb59b3c0b5bb0cb94a927531d12636a25b4b24cf3a518935c98e14471"),
+    (("represent", "--p", "7", "--d", "14"),
+     "e58ecb7a3694371788aa28bb4f71780cb5c47a023dbd6dcf0dcb200fb51496ad",
+     "a8f321ee804335ff1acb3eedf5bb2d0edafb7dabbce6a061a438295552a938ea"),
+    (("classgroup", "-56"),
+     "3292e4b763eeafc7133a85a2ab1065897732f210a206f40a148a7137b5e2c7a2",
+     "8b30da014239349043a437a5dad42b55a5eba9c67f1b9c630f4630dcc1f64417"),
+    (("classgroup", "-8424"),
+     "048a42708e20303fa48239689ae24b4aab40c64378958555a9d9e1f8ddeb3be7",
+     "1292d339bbea17f47eda379fdf79a42a22aee47a164009ea1cc8b062bfab2953"),
+    (("congruences", "--p", "47"),
+     "2d1dc38f8e45d76a9205bd6b3961a7c6808de5f9d3c5a1e63dc5dfcc50d3258c",
+     "180725de4303853bc6344348e4886db47e3528a0b65fcb21ea8874311064cfda"),
+    (("congruences", "--p", "5"),
+     "c638e7a49944d6be14a72416d095f10f27cd8b5875638d7abcd9c12462dba4d7",
+     "450eb212b66fd712c672d9645edc19ad58fe4cc3099c67b17b3b7a8b157750e2"),
+]
+
+
+@pytest.mark.parametrize("argv,json_digest,table_digest", REPORT_DIGESTS,
+                         ids=[" ".join(argv) for argv, *_ in REPORT_DIGESTS])
+def test_reports_pinned(capsys, argv, json_digest, table_digest):
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    _, envelope = run_json(capsys, *argv)
+    envelope.pop("generated_at")
+    assert sha256(json.dumps(envelope, sort_keys=True)) == json_digest
+    _, table, _ = run_cli(capsys, *argv, "--emit", "table")
+    assert sha256(table) == table_digest
 
 
 class TestConfigAndOutput:

@@ -5,10 +5,11 @@ import pytest
 
 from gmforms import gm, verify
 from gmforms.arith import primes_up_to
-from gmforms.report import verification_record_to_dict
+from gmforms.report import to_dict
 from gmforms.verify import (
     VERDICT_CONFIRMED,
     VERDICT_HYPOTHESIS_NOT_MET,
+    VERDICT_NO_REPRESENTATION,
     VERDICT_OUT_OF_RANGE,
     VERDICT_REFUTED,
     artin_class_d7,
@@ -214,12 +215,19 @@ class TestRunSuite:
         run_suite(120, [7, 31, 55])
         assert sorted(calls) == primes_up_to(120)[1:]
 
+    def test_no_representation_meets_every_hypothesis(self):
+        # The CLI's --strict exit code counts these verdicts alone.
+        records, summary = run_suite(2000, [7, 31, 55, 79, 103, 127, 151, 199])
+        unsolved = [r for r in records if r.verdict == VERDICT_NO_REPRESENTATION]
+        assert len(unsolved) == summary["no-representation"] == 34
+        assert all(r.hypothesis_flags.all_pass() for r in unsolved)
+
     def test_records_pinned(self):
         # SHA-256 of the records' sorted-key JSON, recorded while the roots
         # mod G_p were Cipolla's and the fold looped.  The roots at p = 997
         # and 1367 run on the fold, so a kernel rewrite must keep this.
         records, summary = run_suite(1400, [7, 31, 55, 79, 103, 127])
-        text = json.dumps([verification_record_to_dict(r) for r in records],
+        text = json.dumps([to_dict(r) for r in records],
                           sort_keys=True)
         assert len(records) == 126 and summary["refuted"] == 8
         assert hashlib.sha256(text.encode()).hexdigest() == (
