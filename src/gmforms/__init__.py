@@ -21,7 +21,6 @@ from .classgroup import (
     represented_by_class,
 )
 from .gm import (
-    CongruencePrediction,
     GaussianInt,
     GmNorm,
     epsilon,
@@ -30,7 +29,8 @@ from .gm import (
     predict_congruences,
     scan_exponents,
 )
-from .represent import Representation, cornacchia, represent_bruteforce, representable
+from .represent import (Representation, cornacchia, represent_bruteforce,
+                        representable, solve)
 from .verify import (
     MersenneRecord,
     VerificationRecord,

@@ -1,9 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success/confirmed, 1 legitimate negative (no representation,
-or with --strict any no-representation verdict), 2 usage error, 3 refuted
-theorem, 4 internal error (a number taken to be prime failed a prime-only
-identity, or the arithmetic met a case it rules out).
+or with --strict any no-representation verdict), 2 usage error or unwritable
+report, 3 refuted theorem, 4 internal error (a number taken to be prime failed
+a prime-only identity, or the arithmetic met a case it rules out).
 Progress goes to stderr; the data stream stays machine-clean.
 """
 
@@ -17,13 +17,15 @@ from typing import Any, Optional
 
 from .arith import NotPrimeError, is_probable_prime
 from .classgroup import enumerate_reduced, group_structure
-from .gm import DEFAULT_MAX_EXPONENT, gm_norm, predict_congruences, scan_exponents
-from .represent import BRUTEFORCE_CAP, cornacchia, represent_bruteforce
+from .gm import gm_norm, predict_congruences, scan_exponents
+from .represent import solve
 from .verify import check_d, run_suite
 from . import report
 
 CONFIG_ENV_VAR = "GMFORMS_CONFIG"
 DEFAULT_CONFIG_PATH = "gmforms.conf"
+#: Desk-scale cap on exponents, unless the config sets max_exponent.
+DEFAULT_MAX_EXPONENT = 2000
 
 
 class UsageError(Exception):
@@ -63,7 +65,8 @@ def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> No
     """Write the report to stdout, or atomically to out.
 
     The file is written beside out and renamed over it, so an interrupted or
-    failed write leaves the previous report (or none), never a truncated one.
+    failed write leaves the previous report (or none), never a truncated one,
+    and is a UsageError: exit code 1 means a result, not a lost report.
     """
     text = report.emit_json(envelope) if emit == "json" else report.emit_table(envelope)
     if not out:
@@ -74,6 +77,8 @@ def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> No
         with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, out)
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -121,12 +126,7 @@ def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     _check_cap(config, "--p", args.p)
     norm = gm_norm(args.p)
-    if norm.is_prime and norm.value > args.d:
-        rep = cornacchia(norm.value, args.d)
-    elif norm.value <= BRUTEFORCE_CAP:
-        rep = represent_bruteforce(norm.value, args.d)
-    else:
-        raise UsageError(f"G_{args.p} is composite and exceeds the brute-force cap")
+    rep = solve(norm.value, args.d, norm.is_prime)
     record: dict[str, Any] = {
         "p": args.p,
         "d": args.d,
@@ -190,14 +190,10 @@ def cmd_congruences(args: argparse.Namespace, config: dict[str, int]) -> Outcome
     if args.p < 3 or not is_probable_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     _check_cap(config, "--p", args.p)
-    prediction = predict_congruences(args.p)
     norm = gm_norm(args.p)
     records = []
-    for modulus in (8, 16, 32, 7):
-        key = f"mod{modulus}"
-        predicted = getattr(prediction, key)
+    for modulus, (predicted, applicable) in predict_congruences(args.p).items():
         actual = norm.value % modulus
-        applicable = prediction.applicable[key]
         records.append({
             "p": args.p,
             "modulus": modulus,

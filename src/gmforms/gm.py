@@ -9,9 +9,6 @@ from typing import Optional
 
 from .arith import is_probable_prime, jacobi, primes_up_to, proth_test
 
-#: Desk-scale cap on exponents, enforced by the CLI (cli._check_cap) only.
-DEFAULT_MAX_EXPONENT = 2000
-
 
 @dataclass(frozen=True)
 class GaussianInt:
@@ -63,24 +60,6 @@ class GmNorm:
         return self.primality in ("proven-small", "probable-prime")
 
 
-@dataclass(frozen=True)
-class CongruencePrediction:
-    """Predicted residues of the norm, with per-modulus applicability flags.
-
-    A prediction is marked applicable only under its hypothesis:
-    mod 8 needs p > 3; mod 16 needs p = +-1 (mod 8); mod 32 additionally
-    p > 7; the mod-7 residues need epsilon = +1 (see gate_mod7 note in
-    the module tests: p = 5 violates the ungated claim).
-    """
-
-    p: int
-    mod8: Optional[int]
-    mod16: Optional[int]
-    mod32: Optional[int]
-    mod7: Optional[int]
-    applicable: dict[str, bool]
-
-
 def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -121,8 +100,7 @@ def gm_norm(p: int) -> GmNorm:
     proper divisor.  Survivors go to Proth's test, since
     G_p - 1 = 2^((p+1)/2) * (2^((p-1)/2) - (2/p)) is a Proth number.
     """
-    _require_odd_prime(p)
-    eps = jacobi(2, p)
+    eps = epsilon(p)
     value = (1 << p) - eps * (1 << (p + 1) // 2) + 1
     return GmNorm(p=p, epsilon=eps, value=value, primality=_classify(p, value))
 
@@ -137,29 +115,24 @@ def gm_norm_oracle(p: int) -> int:
     return mu.norm()
 
 
-def predict_congruences(p: int) -> CongruencePrediction:
-    """Predicted residues of the norm mod 8/16/32/7 for exponent p."""
-    _require_odd_prime(p)
-    eps = jacobi(2, p)
-    plus_minus_one = p % 8 in (1, 7)
-    mod7 = None
-    if p % 6 == 1:
-        mod7 = 1
-    elif p % 6 == 5:
-        mod7 = 4
-    return CongruencePrediction(
-        p=p,
-        mod8=1 if p > 3 else None,
-        mod16=1 if plus_minus_one else None,
-        mod32=1 if plus_minus_one and p > 7 else None,
-        mod7=mod7,
-        applicable={
-            "mod8": p > 3,
-            "mod16": plus_minus_one,
-            "mod32": plus_minus_one and p > 7,
-            "mod7": eps == 1 and mod7 is not None,
-        },
-    )
+def predict_congruences(p: int) -> dict[int, tuple[Optional[int], bool]]:
+    """Predicted residue of G_p by modulus 8, 16, 32, 7, and whether it applies.
+
+    Mod 8 needs p > 3; mod 16 needs p = +-1 (mod 8); mod 32 additionally
+    p > 7.  The mod-7 residue (1 for p = 1, 4 for p = 5 (mod 6)) needs
+    epsilon = +1: p = 5 violates the ungated claim, as G_5 = 41 = 6 (mod 7).
+    """
+    eps = epsilon(p)
+
+    def one_if(holds: bool) -> tuple[Optional[int], bool]:
+        return (1 if holds else None), holds
+
+    return {
+        8: one_if(p > 3),
+        16: one_if(eps == 1),
+        32: one_if(eps == 1 and p > 7),
+        7: ({1: 1, 5: 4}.get(p % 6), eps == 1),
+    }
 
 
 def scan_exponents(p_min: int, p_max: int) -> list[GmNorm]:

@@ -1,8 +1,8 @@
 """Solving n = x^2 + d*y^2 with positive x, y.
 
 Cornacchia descent for prime n, plus an exhaustive brute-force oracle for
-small n.  Representations require x > 0 AND y > 0; solutions touching zero
-are rejected.
+small n; solve picks between them.  Representations require x > 0 AND y > 0;
+solutions touching zero are rejected.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def cornacchia(n: int, d: int) -> Optional[Representation]:
     r0 = sqrt_mod_prime((-d) % n, n)
     if r0 is None or r0 == 0:
         return None
-    if 2 * r0 < n:
-        r0 = n - r0  # take the root in (n/2, n)
+    # The root in (n/2, n): sqrt_mod_prime returns the one in [1, (n-1)/2].
+    r0 = n - r0
     a, b = n, r0
     limit = math.isqrt(n)
     while b > limit:
@@ -87,14 +87,18 @@ def represent_bruteforce(n: int, d: int) -> Optional[Representation]:
     return None
 
 
-def representable(n: int, d: int) -> bool:
-    """Whether n = x^2 + d*y^2 has a solution with x > 0 and y > 0.
+def solve(n: int, d: int, prime: bool) -> Optional[Representation]:
+    """Solve n = x^2 + d*y^2, given whether n is prime.
 
-    Prime n goes through Cornacchia; composite (or tiny) n through the
-    brute-force oracle, subject to its size cap.
+    An odd prime n > d goes through Cornacchia; any other n through the
+    brute-force oracle, which raises ValueError above BRUTEFORCE_CAP.
+    Callers holding a primality proof pass it, so it is not re-decided.
     """
-    if d < 1 or n < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if n > d and n % 2 == 1 and is_probable_prime(n):
-        return cornacchia(n, d) is not None
-    return represent_bruteforce(n, d) is not None
+    if prime and n > d and n % 2 == 1:
+        return cornacchia(n, d)
+    return represent_bruteforce(n, d)
+
+
+def representable(n: int, d: int) -> bool:
+    """Whether n = x^2 + d*y^2 has a solution with x > 0 and y > 0."""
+    return solve(n, d, is_probable_prime(n)) is not None

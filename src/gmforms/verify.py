@@ -16,7 +16,7 @@ from typing import Optional
 from .arith import is_probable_prime, jacobi, lucas_lehmer
 from .classgroup import group_structure
 from .gm import GmNorm, gm_norm, scan_exponents
-from .represent import Representation, cornacchia, representable
+from .represent import Representation, cornacchia, solve
 
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_HYPOTHESIS_NOT_MET = "hypothesis-not-met"
@@ -185,15 +185,16 @@ def audit_d_2d(p: int, d: int) -> DTwoDRecord:
     """Compare representability of G_p by x^2 + d*y^2 vs x^2 + 2d*y^2.
 
     Reported as observational data; the equivalence is conditional on a
-    field-equality hypothesis this artifact cannot decide.
+    field-equality hypothesis this artifact cannot decide.  Both forms are
+    solved on gm_norm's primality proof, not a fresh probable-prime test.
     """
     if not _is_squarefree(d):
         raise ValueError("d must be square-free")
     norm = gm_norm(p)
     if math.gcd(norm.value, 2 * d) != 1:
         raise ValueError("ramified case gcd(G_p, 2d) > 1: not audited")
-    rep_d = representable(norm.value, d)
-    rep_2d = representable(norm.value, 2 * d)
+    rep_d = solve(norm.value, d, norm.is_prime) is not None
+    rep_2d = solve(norm.value, 2 * d, norm.is_prime) is not None
     return DTwoDRecord(
         p=p,
         d=d,

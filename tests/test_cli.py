@@ -12,6 +12,14 @@ from gmforms.report import to_dict
 from gmforms.verify import run_suite
 
 
+@pytest.fixture(autouse=True)
+def no_caller_config(monkeypatch, tmp_path):
+    # The default-cap tests must not read a config from the caller's shell:
+    # neither GMFORMS_CONFIG nor a ./gmforms.conf in the working directory.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -86,6 +94,11 @@ class TestRepresent:
 
     def test_p_above_cap_exits_2_fast(self, capsys):
         assert_refused_fast(capsys, "represent", "--p", "100003", "--d", "7")
+
+    def test_composite_above_bruteforce_cap_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "represent", "--p", "101", "--d", "7")
+        assert (code, out) == (2, "")
+        assert err == "gmforms: error: n exceeds brute-force cap 1000000000000\n"
 
 
 class TestInternalErrors:
@@ -280,10 +293,26 @@ class TestConfigAndOutput:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError):
-            main(["scan", "--pmin", "3", "--pmax", "60", "--out", str(out_file)])
+        code, out, err = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "60",
+                                 "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == f"gmforms: error: cannot write report to {out_file}: disk full\n"
         assert out_file.read_text() == "old report"
         assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/report.json", "No such file or directory"),
+        ("reports", "Is a directory"),
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target, reason):
+        (tmp_path / "reports").mkdir()
+        out_path = tmp_path / target
+        code, out, err = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "60",
+                                 "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"gmforms: error: cannot write report to {out_path}: {reason}\n"
+        assert os.listdir(tmp_path) == ["reports"]
+        assert os.listdir(tmp_path / "reports") == []
 
     def test_table_emit(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "60",

@@ -129,22 +129,27 @@ class TestCongruences:
             assert gm_norm(p).value % 7 == expected
 
     def test_predictions(self):
-        pred = predict_congruences(47)
-        assert pred.mod7 == 4 and pred.applicable["mod7"]
-        pred = predict_congruences(73)
-        assert pred.mod7 == 1 and pred.applicable["mod7"]
+        assert predict_congruences(47)[7] == (4, True)
+        assert predict_congruences(73)[7] == (1, True)
         # p = 5 has epsilon = -1 and G_5 = 41 = 6 (mod 7): the mod-7 rule
         # must be marked not-applicable there.
-        pred = predict_congruences(5)
-        assert not pred.applicable["mod7"]
+        _, applicable = predict_congruences(5)[7]
+        assert not applicable
         assert gm_norm(5).value == 41 and 41 % 7 == 6
 
     def test_prediction_flags(self):
-        pred = predict_congruences(7)
-        assert pred.applicable["mod8"] and pred.applicable["mod16"]
-        assert not pred.applicable["mod32"]
-        pred = predict_congruences(3)
-        assert not pred.applicable["mod8"]
+        table = predict_congruences(7)
+        assert table[8] == (1, True) and table[16] == (1, True)
+        assert table[32] == (None, False)
+        assert predict_congruences(3)[8] == (None, False)
+
+    def test_applicable_predictions_hold(self):
+        for p in ODD_PRIMES_601:
+            table = predict_congruences(p)
+            assert list(table) == [8, 16, 32, 7]
+            for modulus, (predicted, applicable) in table.items():
+                if applicable:
+                    assert gm_norm(p).value % modulus == predicted, (p, modulus)
 
 
 class TestScan:

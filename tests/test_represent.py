@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gmforms import represent
 from gmforms.arith import jacobi, primes_up_to
 from gmforms.represent import (
     BRUTEFORCE_CAP,
@@ -9,6 +10,7 @@ from gmforms.represent import (
     cornacchia,
     represent_bruteforce,
     representable,
+    solve,
 )
 
 G_47 = 140737471578113
@@ -102,6 +104,38 @@ class TestAgreement:
         for n in rng.sample(primes, 50):
             for d in (7, 14, 31):
                 assert cornacchia(n, d) == represent_bruteforce(n, d), (n, d)
+
+
+class TestSolve:
+    @pytest.fixture
+    def route(self, monkeypatch):
+        """The names of the solvers that solve calls, in call order."""
+        taken = []
+        for name in ("cornacchia", "represent_bruteforce"):
+            def spy(n, d, name=name, solver=getattr(represent, name)):
+                taken.append(name)
+                return solver(n, d)
+            monkeypatch.setattr(represent, name, spy)
+        return taken
+
+    def test_prime_above_d_uses_cornacchia(self, route):
+        assert solve(G_47, 7, True) == Representation(G_47, 7, 5732351, 3925696)
+        assert route == ["cornacchia"]
+
+    def test_composite_uses_bruteforce(self, route):
+        # G_13 = 8321 = 53 * 157
+        assert solve(8321, 13, False) == Representation(8321, 13, 38, 23)
+        assert solve(8321, 7, False) is None
+        assert route == ["represent_bruteforce"] * 2
+
+    def test_prime_not_above_d_uses_bruteforce(self, route):
+        assert solve(7, 7, True) is None
+        assert solve(2, 1, True) == Representation(2, 1, 1, 1)
+        assert route == ["represent_bruteforce"] * 2
+
+    def test_composite_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="brute-force cap"):
+            solve(BRUTEFORCE_CAP + 1, 7, False)  # 10^12 + 1 = 73 * 137 * 99990001
 
 
 class TestRepresentable:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gmforms import gm, verify
+from gmforms import arith, gm, represent, verify
 from gmforms.arith import primes_up_to
 from gmforms.report import to_dict
 from gmforms.verify import (
@@ -103,6 +103,21 @@ class TestD2D:
     def test_p47_agrees(self):
         record = audit_d_2d(47, 7)
         assert record.rep_d and record.rep_2d
+
+    def test_gp_primality_not_retested(self, monkeypatch):
+        # gm_norm has decided G_p; audit_d_2d must solve on that proof rather
+        # than run a probable-prime test on G_p (G_113 exceeds 2^64).
+        expected = [audit_d_2d(113, 7), audit_d_2d(47, 7)]
+        original = arith.is_probable_prime
+
+        def below_2_64(n):
+            if n >= 1 << 64:
+                raise AssertionError(f"probable-prime test run on {n}")
+            return original(n)
+
+        for module in (arith, gm, represent, verify):
+            monkeypatch.setattr(module, "is_probable_prime", below_2_64)
+        assert [audit_d_2d(113, 7), audit_d_2d(47, 7)] == expected
 
 
 class TestMersenneCrosscheck:
