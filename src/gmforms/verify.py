@@ -10,10 +10,11 @@ such record as a build failure.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
-from .arith import is_probable_prime, jacobi, lucas_lehmer
+from .arith import NotPrimeError, is_probable_prime, jacobi, lucas_lehmer
 from .classgroup import group_structure
 from .gm import GmNorm, gm_norm, scan_exponents
 from .represent import Representation, cornacchia, solve
@@ -23,6 +24,8 @@ VERDICT_HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VERDICT_NO_REPRESENTATION = "no-representation"
 VERDICT_REFUTED = "REFUTED"
 VERDICT_OUT_OF_RANGE = "out-of-theorem-range"
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -205,19 +208,72 @@ def audit_d_2d(p: int, d: int) -> DTwoDRecord:
     )
 
 
+def _overlap(proof: Callable[[], bool], work: Callable[[], _T]) -> tuple[bool, _T]:
+    """Return (proof(), work()), running proof() in a forked child meanwhile.
+
+    The child writes one byte, "1" or "0", to a pipe and leaves by os._exit:
+    it never returns into the caller's stack and never flushes the stdio
+    buffers it inherited.  If work() raises, KeyboardInterrupt included, the
+    child is killed and reaped before the error propagates.  A child that
+    fails or is killed raises ChildProcessError, never a False proof.
+    Without os.fork both run here, one after the other.
+    """
+    if not hasattr(os, "fork"):
+        return proof(), work()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.write(write_end, b"1" if proof() else b"0")
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        result = work()
+        answer = os.read(read_end, 1)
+    except BaseException:
+        import signal  # only this path needs it, so it stays out of import time
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read_end)
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or answer not in (b"0", b"1"):
+        raise ChildProcessError(
+            f"proof process exited with code {os.waitstatus_to_exitcode(status)}")
+    return answer == b"1", result
+
+
 def mersenne_crosscheck(p: int) -> Optional[MersenneRecord]:
     """Control experiment on 2^p - 1 = x^2 + 7*y^2 for p = 1 (mod 3).
 
     Expected dual pattern: 8 | x and y = +-3 (mod 8).  Returns None when
     2^p - 1 is composite (skipped record): at once for composite p, else as
-    proved by Lucas-Lehmer.
+    proved by Lucas-Lehmer.  Where os.fork exists, Lucas-Lehmer runs in a
+    second process while this one takes the root of -7 on the chance that
+    2^p - 1 is prime; a composite verdict discards the root, a NotPrimeError
+    included.  ChildProcessError if that process fails or is killed.
     """
     if p % 3 != 1:
         raise ValueError("crosscheck needs p = 1 (mod 3)")
-    if not is_probable_prime(p) or not lucas_lehmer(p):
+    if not is_probable_prime(p):
         return None
     m = (1 << p) - 1
-    rep = cornacchia(m, 7)
+
+    def root() -> Optional[Representation] | NotPrimeError:
+        try:
+            return cornacchia(m, 7)
+        except NotPrimeError as exc:
+            return exc
+
+    prime, rep = _overlap(lambda: lucas_lehmer(p), root)
+    if not prime:
+        return None
+    if isinstance(rep, NotPrimeError):
+        raise rep
     if rep is None:
         return None
     return MersenneRecord(p=p, m_value=m, x=rep.x, y=rep.y,

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from gmforms.gm import scan_exponents
@@ -17,3 +19,14 @@ def suite_600_d7():
 @pytest.fixture(scope="session")
 def suite_600_generalized():
     return run_suite(600, [7, 31, 55, 79, 103, 127])
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process behind (waitpid gave pid {pid})")

@@ -19,11 +19,12 @@ from gmforms.classgroup import (
     principal_form,
 )
 from gmforms.gm import gm_norm, gm_norm_oracle
-from gmforms.represent import cornacchia, represent_bruteforce, representable
+from gmforms.represent import cornacchia, represent_bruteforce
 from gmforms.verify import (
     VERDICT_CONFIRMED,
     VERDICT_REFUTED,
     artin_class_d7,
+    audit_d_2d,
     mersenne_crosscheck,
 )
 
@@ -191,8 +192,8 @@ def test_criterion_8_generalized_theorem(suite_600_generalized):
 def test_criterion_9_d_2d_audit(scan_to_600):
     failures = []
     for norm in scan_to_600:
-        rep_7 = representable(norm.value, 7)
-        rep_14 = representable(norm.value, 14)
+        record = audit_d_2d(norm.p, 7)
+        rep_7, rep_14 = record.rep_d, record.rep_2d
         if norm.p == 7:
             if rep_7 == rep_14:
                 failures.append("p=7 should be the documented disagreement")

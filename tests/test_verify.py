@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import signal
+import time
 
 import pytest
 
 from gmforms import arith, gm, represent, verify
-from gmforms.arith import primes_up_to
+from gmforms.arith import lucas_lehmer, primes_up_to
+from gmforms.represent import cornacchia
 from gmforms.report import to_dict
 from gmforms.verify import (
+    MersenneRecord,
     VERDICT_CONFIRMED,
     VERDICT_HYPOTHESIS_NOT_MET,
     VERDICT_NO_REPRESENTATION,
@@ -145,6 +150,81 @@ class TestMersenneCrosscheck:
     def test_wrong_residue_class_rejected(self):
         with pytest.raises(ValueError):
             mersenne_crosscheck(11)  # 11 = 2 (mod 3)
+
+
+def _serial_crosscheck(p):
+    # The serial reference: Lucas-Lehmer, then the root, in one process.
+    if not lucas_lehmer(p):
+        return None
+    m = (1 << p) - 1
+    rep = cornacchia(m, 7)
+    return MersenneRecord(p=p, m_value=m, x=rep.x, y=rep.y,
+                          x_mod8=rep.x % 8, y_mod8=rep.y % 8)
+
+
+class TestOverlap:
+    """Lucas-Lehmer in a forked child beside the root of -7 in the caller."""
+
+    EXPONENTS = [p for p in primes_up_to(1300) if p % 3 == 1] + [2203, 4423]
+
+    def test_matches_serial_reference(self):
+        records = {p: mersenne_crosscheck(p) for p in self.EXPONENTS}
+        assert records == {p: _serial_crosscheck(p) for p in self.EXPONENTS}
+        # OEIS A000043 members = 1 (mod 3) up to 1300, plus 2203 and 4423.
+        assert [p for p, r in records.items() if r is not None] == [
+            7, 13, 19, 31, 61, 127, 607, 1279, 2203, 4423]
+
+    def test_child_failure_raises(self, monkeypatch):
+        def fail(p):
+            raise AssertionError(f"Lucas-Lehmer fails for p = {p}")
+
+        # The forked child inherits the patch; its failure is no composite verdict.
+        monkeypatch.setattr(verify, "lucas_lehmer", fail)
+        with pytest.raises(ChildProcessError):
+            mersenne_crosscheck(13)
+
+    def test_killed_child_raises(self):
+        def killed():
+            os.kill(os.getpid(), signal.SIGKILL)
+            return True
+
+        with pytest.raises(ChildProcessError, match=f"code {-signal.SIGKILL}$"):
+            verify._overlap(killed, lambda: None)
+
+    def test_root_failure_kills_the_child(self, monkeypatch):
+        def fail(n, d):
+            raise ZeroDivisionError("root failed")
+
+        monkeypatch.setattr(verify, "cornacchia", fail)
+        with pytest.raises(ZeroDivisionError, match="root failed"):
+            mersenne_crosscheck(4423)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_kills_a_running_child(self):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify._overlap(lambda: time.sleep(60) or True, interrupted)
+        assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_composite_discards_root_failure(self, monkeypatch):
+        def not_prime(n, d):
+            raise arith.NotPrimeError(f"{n} is not prime")
+
+        monkeypatch.setattr(verify, "cornacchia", not_prime)
+        assert mersenne_crosscheck(37) is None
+        with pytest.raises(arith.NotPrimeError):
+            mersenne_crosscheck(13)
+
+    def test_without_fork_same_records(self, monkeypatch):
+        expected = [mersenne_crosscheck(p) for p in (7, 37, 607, 2203)]
+        monkeypatch.delattr(os, "fork")
+        assert [mersenne_crosscheck(p) for p in (7, 37, 607, 2203)] == expected
 
 
 class TestRunSuite:
