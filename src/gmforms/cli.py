@@ -4,7 +4,9 @@ Exit codes: 0 success/confirmed, 1 legitimate negative (no representation,
 or with --strict any no-representation verdict), 2 usage error or unwritable
 report, 3 refuted theorem, 4 internal error (a number taken to be prime failed
 a prime-only identity, or the arithmetic met a case it rules out).
-Progress goes to stderr; the data stream stays machine-clean.
+The one global option, --max-exponent, caps --pmax and --p of every command
+that builds G_p; library calls have no cap. Nothing is read from a file or
+the environment. Progress goes to stderr; the data stream stays machine-clean.
 """
 
 from __future__ import annotations
@@ -22,43 +24,12 @@ from .represent import solve
 from .verify import check_d, run_suite
 from . import report
 
-CONFIG_ENV_VAR = "GMFORMS_CONFIG"
-DEFAULT_CONFIG_PATH = "gmforms.conf"
-#: Desk-scale cap on exponents, unless the config sets max_exponent.
+#: Desk-scale cap on the exponent of every G_p the CLI builds (--max-exponent).
 DEFAULT_MAX_EXPONENT = 2000
 
 
 class UsageError(Exception):
     pass
-
-
-def _load_config(path: Optional[str]) -> dict[str, int]:
-    """Read key = value lines; the one known key is max_exponent."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
-        path = DEFAULT_CONFIG_PATH if os.path.exists(DEFAULT_CONFIG_PATH) else None
-    if path is None:
-        return {}
-    config: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line: {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key != "max_exponent":
-                    raise UsageError(f"unknown config key: {key!r}")
-                config[key] = int(value.strip())
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"bad config value in {path}: {exc}") from exc
-    return config
 
 
 def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> None:
@@ -94,21 +65,21 @@ def _parse_d_list(raw: str) -> list[int]:
     return list(dict.fromkeys(values))
 
 
-def _check_cap(config: dict[str, int], option: str, p: int) -> None:
-    """Refuse an exponent above max_exponent, the desk-scale cap."""
-    cap = config.get("max_exponent", DEFAULT_MAX_EXPONENT)
+def _check_cap(args: argparse.Namespace, option: str, p: int) -> None:
+    """Refuse an exponent above --max-exponent, the desk-scale cap."""
+    cap = args.max_exponent
     if p > cap:
-        raise UsageError(f"{option} must be <= {cap} (max_exponent), got {p}")
+        raise UsageError(f"{option} must be <= {cap} (--max-exponent), got {p}")
 
 
 # Each cmd_* returns its report envelope and the exit code; main writes the report.
 Outcome = tuple[dict[str, Any], int]
 
 
-def cmd_scan(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
+def cmd_scan(args: argparse.Namespace) -> Outcome:
     if not 3 <= args.pmin <= args.pmax:
         raise UsageError("need 3 <= pmin <= pmax")
-    _check_cap(config, "--pmax", args.pmax)
+    _check_cap(args, "--pmax", args.pmax)
     hits = scan_exponents(args.pmin, args.pmax)
     envelope = report.make_envelope(
         "scan",
@@ -119,12 +90,12 @@ def cmd_scan(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     return envelope, 0
 
 
-def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
+def cmd_represent(args: argparse.Namespace) -> Outcome:
     if args.d < 1:
         raise UsageError("--d must be >= 1")
     if args.p < 3 or not is_probable_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
-    _check_cap(config, "--p", args.p)
+    _check_cap(args, "--p", args.p)
     norm = gm_norm(args.p)
     rep = solve(norm.value, args.d, norm.is_prime)
     record: dict[str, Any] = {
@@ -145,10 +116,10 @@ def cmd_represent(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     return envelope, 0 if rep else 1
 
 
-def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
+def cmd_verify(args: argparse.Namespace) -> Outcome:
     if args.pmax < 7:
         raise UsageError("need pmax >= 7")
-    _check_cap(config, "--pmax", args.pmax)
+    _check_cap(args, "--pmax", args.pmax)
     d_list = _parse_d_list(args.d)
     if not args.generalized and d_list != [7]:
         raise UsageError("without --generalized only --d 7 is supported")
@@ -173,7 +144,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     return envelope, 1 if args.strict and summary["no-representation"] else 0
 
 
-def cmd_classgroup(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
+def cmd_classgroup(args: argparse.Namespace) -> Outcome:
     d = args.discriminant
     summary = group_structure(d)
     forms = enumerate_reduced(d)
@@ -186,10 +157,10 @@ def cmd_classgroup(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
     return envelope, 0
 
 
-def cmd_congruences(args: argparse.Namespace, config: dict[str, int]) -> Outcome:
+def cmd_congruences(args: argparse.Namespace) -> Outcome:
     if args.p < 3 or not is_probable_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
-    _check_cap(config, "--p", args.p)
+    _check_cap(args, "--p", args.p)
     norm = gm_norm(args.p)
     records = []
     for modulus, (predicted, applicable) in predict_congruences(args.p).items():
@@ -218,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian Mersenne norms, x^2 + d*y^2 representations, "
                     "and class-group audits",
     )
-    parser.add_argument("--config", help="path to key = value config file")
+    parser.add_argument("--max-exponent", type=int, default=DEFAULT_MAX_EXPONENT,
+                        metavar="N", help="cap on --pmax and --p of every command "
+                        f"that builds G_p (default {DEFAULT_MAX_EXPONENT})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -262,8 +235,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        envelope, code = args.func(args, config)
+        envelope, code = args.func(args)
         _write_report(envelope, args.emit, args.out)
         return code
     except UsageError as exc:

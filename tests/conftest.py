@@ -21,6 +21,11 @@ def suite_600_generalized():
     return run_suite(600, [7, 31, 55, 79, 103, 127])
 
 
+@pytest.fixture(scope="session")
+def suite_2000_eight_d():
+    return run_suite(2000, [7, 31, 55, 79, 103, 127, 151, 199])
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process behind, running or unreaped."""

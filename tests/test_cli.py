@@ -1,8 +1,12 @@
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +14,6 @@ from gmforms import arith, cli
 from gmforms.cli import main
 from gmforms.report import to_dict
 from gmforms.verify import run_suite
-
-
-@pytest.fixture(autouse=True)
-def no_caller_config(monkeypatch, tmp_path):
-    # The default-cap tests must not read a config from the caller's shell:
-    # neither GMFORMS_CONFIG nor a ./gmforms.conf in the working directory.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-    monkeypatch.chdir(tmp_path)
 
 
 def run_cli(capsys, *argv):
@@ -319,33 +315,60 @@ class TestConfigAndOutput:
                                "--emit", "table")
         assert code == 0 and "# scan" in out
 
-    def test_config_cap_enforced(self, capsys, tmp_path):
-        config = tmp_path / "gmforms.conf"
-        config.write_text("max_exponent = 100  # desk cap\n")
-        code, _, err = run_cli(capsys, "--config", str(config),
-                               "scan", "--pmin", "3", "--pmax", "120")
-        assert code == 2 and "pmax" in err
+    def test_max_exponent_cap_enforced(self, capsys):
+        code, out, err = run_cli(capsys, "--max-exponent", "100",
+                                 "scan", "--pmin", "3", "--pmax", "120")
+        assert (code, out) == (2, "")
+        assert err == "gmforms: error: --pmax must be <= 100 (--max-exponent), got 120\n"
 
-    def test_config_cap_admits_larger_p(self, capsys, tmp_path):
-        config = tmp_path / "gmforms.conf"
-        config.write_text("max_exponent = 4000\n")
-        code, envelope = run_json(capsys, "--config", str(config),
+    def test_max_exponent_admits_larger_p(self, capsys):
+        code, envelope = run_json(capsys, "--max-exponent", "4000",
                                   "represent", "--p", "3041", "--d", "7")
         record = envelope["records"][0]
         assert code == 0 and record["primality"] == "probable-prime"
         rep = record["representation"]
         assert int(rep["x"]) ** 2 + 7 * int(rep["y"]) ** 2 == int(record["g_value"])
 
-    def test_env_var_points_to_config(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "alt.conf"
+    def test_caller_file_and_environment_ignored(self, capsys, tmp_path, monkeypatch):
+        # The cap comes from the command line alone: a config file in the
+        # working directory, named by the environment, changes nothing.
+        config = tmp_path / "gmforms.conf"
         config.write_text("max_exponent = 50\n")
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("GMFORMS_CONFIG", str(config))
         code, _, _ = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "120")
-        assert code == 2
+        assert code == 0
 
-    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
-        config = tmp_path / "gmforms.conf"
-        config.write_text("threads = 4\n")
-        code, _, _ = run_cli(capsys, "--config", str(config),
-                             "scan", "--pmin", "3", "--pmax", "60")
-        assert code == 2
+    def test_config_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "x", "scan", "--pmax", "60"])
+        assert exc.value.code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def option_strings(parser):
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= option_strings(sub)
+    return found
+
+
+def test_readme_cli_matches_parser():
+    # Every command in README's CLI block parses, and every "Common flags"
+    # entry is a real option, so a removed option cannot stay documented.
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "gmforms" for argv in commands)
+    for argv in commands:
+        parser.parse_args(argv[1:])
+    common = re.search(r"Common flags:(.*?)\n\n", text, re.S).group(1)
+    flags = re.findall(r"`(--[a-z-]+)", common)
+    assert flags and set(flags) <= option_strings(parser)

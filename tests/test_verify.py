@@ -310,12 +310,24 @@ class TestRunSuite:
         run_suite(120, [7, 31, 55])
         assert sorted(calls) == primes_up_to(120)[1:]
 
-    def test_no_representation_meets_every_hypothesis(self):
+    def test_no_representation_meets_every_hypothesis(self, suite_2000_eight_d):
         # The CLI's --strict exit code counts these verdicts alone.
-        records, summary = run_suite(2000, [7, 31, 55, 79, 103, 127, 151, 199])
+        records, summary = suite_2000_eight_d
         unsolved = [r for r in records if r.verdict == VERDICT_NO_REPRESENTATION]
         assert len(unsolved) == summary["no-representation"] == 34
         assert all(r.hypothesis_flags.all_pass() for r in unsolved)
+
+    def test_verdict_reads_only_y_mod8(self, suite_2000_eight_d):
+        # README's proof: for p = +-1 (mod 8), p > 7, G_p = 1 (mod 32), and
+        # with d = 7 (mod 8) every representation has 4 | y and x = +-1 (mod 8).
+        records, summary = suite_2000_eight_d
+        solved = [r for r in records
+                  if r.representation is not None and r.p > 7 and r.p % 8 in (1, 7)]
+        assert len(solved) == 23 and summary["refuted"] == 10
+        for r in solved:
+            assert r.g_value % 32 == 1 and r.d % 8 == 7
+            assert r.x_mod8 in (1, 7) and r.y_mod8 in (0, 4), (r.p, r.d)
+            assert (r.verdict == VERDICT_REFUTED) == (r.y_mod8 == 4), (r.p, r.d)
 
     def test_records_pinned(self):
         # SHA-256 of the records' sorted-key JSON, recorded while the roots
