@@ -25,9 +25,6 @@ def primes_up_to(limit: int) -> list[int]:
 _SMALL_PRIMES = primes_up_to(1000)
 _SMALL_PRIME_SET = set(_SMALL_PRIMES)
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24 (covers 2^64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Moduli shorter than this keep builtin pow and %: below it one interpreted
 # fold costs more than the long division it replaces.
 _FOLD_MIN_BITS = 500
@@ -188,13 +185,13 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     return min(r, p - r)
 
 
-def _strong_probable_prime(n: int, base: int) -> bool:
-    # n odd, n > 2, base reduced mod n.
+def _strong_probable_prime(n: int) -> bool:
+    # Strong base-2 test; n odd, n > 2.
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    x = pow(base, d, n)
+    x = pow(2, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -252,12 +249,14 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality test for arbitrary n: deterministic below 2^64, Baillie-PSW
-    style above.
+    """Primality test for arbitrary n (Baillie-PSW): trial division by the
+    primes below 1000, then a strong base-2 test and a strong Lucas test.
 
-    Below 2^64 a fixed Miller-Rabin witness set gives a proven answer.  Above,
-    a strong base-2 test plus a strong Lucas test; no composite is known to
-    pass both.  The structured families have proofs instead: proth_test for
+    Exact below 2^64: no composite there passes both tests, as the
+    Feitsma-Galway table of all base-2 pseudoprimes below 2^64, each run
+    through the strong Lucas test, shows.  Above, no composite is known to
+    pass both (Baillie and Wagstaff, Math. Comp. 35, 1980), but none is
+    ruled out.  The structured families have proofs instead: proth_test for
     Gaussian Mersenne norms, lucas_lehmer for Mersenne numbers.
     """
     if n < 2:
@@ -269,9 +268,7 @@ def is_probable_prime(n: int) -> bool:
             return False
     if n < (_SMALL_PRIMES[-1] + 1) ** 2:
         return True
-    if n < 1 << 64:
-        return all(_strong_probable_prime(n, b) for b in _MR_BASES)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    return _strong_probable_prime(n) and _strong_lucas_probable_prime(n)
 
 
 def proth_test(n: int) -> bool:

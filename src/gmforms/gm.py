@@ -61,7 +61,7 @@ class GmNorm:
 
 
 def _require_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_probable_prime(p):
+    if p < 3 or not is_probable_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
@@ -144,7 +144,7 @@ def scan_exponents(p_min: int, p_max: int) -> list[GmNorm]:
         raise ValueError("need 3 <= p_min <= p_max")
     hits = []
     for p in primes_up_to(p_max):
-        if p < max(p_min, 3):
+        if p < p_min:
             continue
         norm = gm_norm(p)
         if norm.is_prime:

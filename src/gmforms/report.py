@@ -14,7 +14,6 @@ from datetime import datetime, timezone
 from typing import Any
 
 from . import __version__
-from .classgroup import ClassGroupSummary, QuadForm
 
 #: Record fields written as decimal strings, at any nesting depth.
 DECIMAL_FIELDS = frozenset({"value", "g_value", "n", "x", "y"})
@@ -27,11 +26,6 @@ def _decimal_strings(fields: list[tuple[str, Any]]) -> dict[str, Any]:
 def to_dict(record: Any) -> dict[str, Any]:
     """A record dataclass as a JSON-ready dict, in field order."""
     return asdict(record, dict_factory=_decimal_strings)
-
-
-def class_group_to_dict(summary: ClassGroupSummary,
-                        forms: list[QuadForm]) -> dict[str, Any]:
-    return {**asdict(summary), "forms": [[f.a, f.b, f.c] for f in forms]}
 
 
 def make_envelope(command: str, parameters: dict[str, Any],

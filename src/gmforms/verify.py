@@ -292,7 +292,6 @@ def run_suite(p_max: int,
     facts = {d: _d_facts(d) for d in d_values}
     norms = [norm for norm in scan_exponents(3, p_max) if norm.p >= 7]
     records = [_audit(norm, d, facts[d]) for norm in norms for d in d_values]
-    records.sort(key=lambda r: (r.p, r.d))
     summary = {
         "confirmed": 0,
         "hypothesis-not-met": 0,

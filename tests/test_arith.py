@@ -11,6 +11,7 @@ from gmforms.arith import (
     _lucas_v,
     _squarings,
     _strong_lucas_probable_prime,
+    _strong_probable_prime,
     is_probable_prime,
     jacobi,
     lucas_lehmer,
@@ -434,6 +435,18 @@ class TestSqrtModPrime:
             sqrt_mod_prime(2, 9)
 
 
+#: OEIS A014233: psi_k, the least odd composite that is a strong probable
+#: prime to each of the first k prime bases, k = 1..12 (psi_7 = psi_8 and
+#: psi_9 = psi_10 = psi_11).
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 3825123056546413051, 318665857834031151167461)
+#: Carmichael numbers: 7 divides the first three; the rest are Chernick's
+#: (6k+1)(12k+1)(18k+1), every factor above 1000.
+CARMICHAEL = (5394826801, 232250619601, 9746347772161, 9624742921, 11346205609)
+#: Strong base-2 pseudoprimes p*(2p - 1) and p*(4p - 3) with p > 1000.
+SPSP2 = (2284453, 5489641, 8725753, 4863127, 6787327, 8095447)
+
+
 class TestIsProbablePrime:
     def test_examples(self):
         assert is_probable_prime(113)
@@ -453,6 +466,23 @@ class TestIsProbablePrime:
         assert not is_probable_prime((1 << 128) - 1)
         # Perfect squares above 2^64 exercise the Lucas pre-screen.
         assert not is_probable_prime(((1 << 40) + 15) ** 2)
+
+    def test_between_trial_division_and_2_64(self):
+        assert is_probable_prime((1 << 61) - 1)
+        assert is_probable_prime((1 << 64) - 59)  # the largest prime below 2^64
+        assert not is_probable_prime((1 << 64) - 57)
+        for n in A014233 + CARMICHAEL + SPSP2:
+            assert not is_probable_prime(n), n
+
+    def test_strong_lucas_rejects_base_2_pseudoprimes(self):
+        # Past trial division these pass the base-2 half, so the Lucas half
+        # alone rejects them: psi_3 and psi_5..psi_12 (psi_12 > 2^64).
+        survivors = [n for n in A014233 + SPSP2
+                     if all(n % q for q in primes_up_to(1000))]
+        assert len(survivors) == 12
+        for n in survivors:
+            assert _strong_probable_prime(n), n
+            assert not _strong_lucas_probable_prime(n), n
 
 
 #: OEIS A217255, the strong Lucas pseudoprimes (Selfridge's parameters)

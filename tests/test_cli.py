@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gmforms import arith, cli
+from gmforms import arith, cli, gm, represent, verify
 from gmforms.cli import main
 from gmforms.report import to_dict
 from gmforms.verify import run_suite
@@ -53,7 +53,7 @@ class TestScan:
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--pmin", "50", "--pmax", "10")
-        assert code == 2 and "error" in err
+        assert code == 2 and err == "gmforms: error: need 3 <= p_min <= p_max\n"
 
     def test_pmax_above_default_cap_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--pmax", "2001")
@@ -82,11 +82,14 @@ class TestRepresent:
 
     def test_composite_p_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "represent", "--p", "4", "--d", "7")
-        assert code == 2 and "error" in err
+        assert code == 2 and err == "gmforms: error: p must be an odd prime, got 4\n"
 
     def test_nonpositive_d_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "represent", "--p", "7", "--d", "0")
-        assert code == 2
+        code, _, err = run_cli(capsys, "represent", "--p", "7", "--d", "0")
+        assert code == 2 and err == "gmforms: error: d must be >= 1\n"
+        # G_13 = 53 * 157 goes to the brute-force solver, which checks d too.
+        code, _, err = run_cli(capsys, "represent", "--p", "13", "--d", "-1")
+        assert code == 2 and err == "gmforms: error: need n >= 1 and d >= 1\n"
 
     def test_p_above_cap_exits_2_fast(self, capsys):
         assert_refused_fast(capsys, "represent", "--p", "100003", "--d", "7")
@@ -109,9 +112,12 @@ class TestInternalErrors:
 
     def test_no_lucas_discriminant_exits_4(self, capsys, monkeypatch):
         # With every Jacobi symbol 1, the Selfridge search for the strong
-        # Lucas test of 2^89 - 1 runs out of candidates.
+        # Lucas test of 2^89 - 1 runs out of candidates.  The exponent is
+        # checked (by epsilon, in gm_norm) before G_p is built, so the cap
+        # is raised to reach that check and no G_p of that size is made.
         monkeypatch.setattr(arith, "jacobi", lambda a, n: 1)
-        code, _, err = run_cli(capsys, "congruences", "--p", str(2**89 - 1))
+        p = str(2**89 - 1)
+        code, _, err = run_cli(capsys, "--max-exponent", p, "congruences", "--p", p)
         assert code == 4
         assert "internal error" in err and "no Lucas discriminant" in err
 
@@ -220,6 +226,29 @@ class TestCongruences:
 
     def test_p_above_cap_exits_2_fast(self, capsys):
         assert_refused_fast(capsys, "congruences", "--p", "100003")
+
+    def test_nonprime_p_above_cap_reports_cap(self, capsys):
+        assert_refused_fast(capsys, "congruences", "--p", "100000")
+
+
+@pytest.mark.parametrize("argv,checks", [
+    (("represent", "--p", "47", "--d", "7"), 1),
+    (("congruences", "--p", "47"), 2),
+])
+def test_exponent_primality_left_to_library(capsys, monkeypatch, argv, checks):
+    # The CLI runs no primality test of its own on --p: gm_norm asks once,
+    # and predict_congruences once more, each through epsilon.
+    original = arith.is_probable_prime
+    asked = []
+
+    def counting(n):
+        asked.append(n)
+        return original(n)
+
+    for module in (arith, gm, represent, verify, cli):
+        monkeypatch.setattr(module, "is_probable_prime", counting, raising=False)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert asked.count(47) == checks
 
 
 # SHA-256 of each report, recorded before the per-type record serializers

@@ -4,9 +4,11 @@ sympy.
 Test-only: skipped when sympy is not installed; gmforms never imports it.
 """
 
+import random
+
 import pytest
 
-from gmforms.arith import lucas_lehmer, sqrt_mod_prime
+from gmforms.arith import is_probable_prime, lucas_lehmer, sqrt_mod_prime
 from gmforms.gm import gm_norm
 
 sympy = pytest.importorskip("sympy")
@@ -36,3 +38,17 @@ def test_sqrt_mod_agrees_with_sympy(p):
     for d in (7, 31, 55, 79, 103, 127):
         r = sympy.sqrt_mod(-d, g)
         assert sqrt_mod_prime(-d, g) == (None if r is None else min(r, g - r)), d
+
+
+def test_is_probable_prime_agrees_with_sympy_below_2_64():
+    # Odd n from 20 to 64 bits, log-uniform, so every size past the
+    # trial-division shortcut gets its share.
+    rng = random.Random(2014)
+    sample = []
+    while len(sample) < 2000:
+        n = rng.getrandbits(rng.randint(20, 64)) | 1
+        if n >= 10**6:
+            sample.append(n)
+    assert sum(map(sympy.isprime, sample)) > 100
+    for n in sample:
+        assert is_probable_prime(n) == sympy.isprime(n), n
