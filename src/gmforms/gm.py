@@ -100,7 +100,13 @@ def gm_norm(p: int) -> GmNorm:
     proper divisor.  Survivors go to Proth's test, since
     G_p - 1 = 2^((p+1)/2) * (2^((p-1)/2) - (2/p)) is a Proth number.
     """
-    eps = epsilon(p)
+    _require_odd_prime(p)
+    return _build_norm(p)
+
+
+def _build_norm(p: int) -> GmNorm:
+    # gm_norm for an odd prime p that the caller has already checked or sieved.
+    eps = jacobi(2, p)
     value = (1 << p) - eps * (1 << (p + 1) // 2) + 1
     return GmNorm(p=p, epsilon=eps, value=value, primality=_classify(p, value))
 
@@ -138,15 +144,10 @@ def predict_congruences(p: int) -> dict[int, tuple[Optional[int], bool]]:
 def scan_exponents(p_min: int, p_max: int) -> list[GmNorm]:
     """All odd primes p in [p_min, p_max] whose norm is prime.
 
-    Bounds are inclusive; results are in increasing p.
+    Bounds are inclusive; results are in increasing p.  The scan trusts its
+    sieve: unlike gm_norm, it tests no p for primality.
     """
     if p_min < 3 or p_min > p_max:
         raise ValueError("need 3 <= p_min <= p_max")
-    hits = []
-    for p in primes_up_to(p_max):
-        if p < p_min:
-            continue
-        norm = gm_norm(p)
-        if norm.is_prime:
-            hits.append(norm)
-    return hits
+    norms = (_build_norm(p) for p in primes_up_to(p_max) if p >= p_min)
+    return [norm for norm in norms if norm.is_prime]

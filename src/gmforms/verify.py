@@ -127,7 +127,7 @@ def _audit(norm: GmNorm, d: int, d_facts: tuple[bool, bool]) -> VerificationReco
     p, g_value = norm.p, norm.value
     legendre_2_d, order4 = d_facts
     flags = HypothesisFlags(
-        p_mod8_ok=p % 8 in (1, 7),
+        p_mod8_ok=norm.epsilon == 1,
         gp_probable_prime=norm.is_prime,
         legendre_2_d=legendre_2_d,
         legendre_minus_d_gp=jacobi(-d, g_value) == 1,
@@ -290,16 +290,9 @@ def run_suite(p_max: int,
     for d in d_values:
         check_d(d)
     facts = {d: _d_facts(d) for d in d_values}
-    norms = [norm for norm in scan_exponents(3, p_max) if norm.p >= 7]
-    records = [_audit(norm, d, facts[d]) for norm in norms for d in d_values]
-    summary = {
-        "confirmed": 0,
-        "hypothesis-not-met": 0,
-        "no-representation": 0,
-        "out-of-theorem-range": 0,
-        "refuted": 0,
-    }
-    for record in records:
-        key = "refuted" if record.verdict == VERDICT_REFUTED else record.verdict
-        summary[key] += 1
+    records = [_audit(norm, d, facts[d])
+               for norm in scan_exponents(7, p_max) for d in d_values]
+    verdicts = (VERDICT_CONFIRMED, VERDICT_HYPOTHESIS_NOT_MET,
+                VERDICT_NO_REPRESENTATION, VERDICT_OUT_OF_RANGE, VERDICT_REFUTED)
+    summary = {v.lower(): sum(r.verdict == v for r in records) for v in verdicts}
     return records, summary

@@ -237,7 +237,7 @@ class TestCongruences:
 ])
 def test_exponent_primality_left_to_library(capsys, monkeypatch, argv, checks):
     # The CLI runs no primality test of its own on --p: gm_norm asks once,
-    # and predict_congruences once more, each through epsilon.
+    # and predict_congruences once more, through epsilon.
     original = arith.is_probable_prime
     asked = []
 

@@ -299,16 +299,33 @@ class TestRunSuite:
 
     def test_each_norm_computed_once(self, monkeypatch):
         calls = []
-        original = gm.gm_norm
+        original = gm._build_norm
 
         def counted(p):
             calls.append(p)
             return original(p)
 
-        monkeypatch.setattr(gm, "gm_norm", counted)
-        monkeypatch.setattr(verify, "gm_norm", counted)
+        monkeypatch.setattr(gm, "_build_norm", counted)
         run_suite(120, [7, 31, 55])
-        assert sorted(calls) == primes_up_to(120)[1:]
+        assert sorted(calls) == [p for p in primes_up_to(120) if p >= 7]
+
+    def test_sieved_exponents_not_retested(self, monkeypatch):
+        # A scan builds G_p from its sieve's p; only a public entry checks p.
+        original = arith.is_probable_prime
+        asked = []
+
+        def counting(n):
+            asked.append(n)
+            return original(n)
+
+        for module in (arith, gm, verify):
+            monkeypatch.setattr(module, "is_probable_prime", counting)
+        gm.scan_exponents(3, 2000)
+        assert asked == []
+        run_suite(120, [7])
+        assert not set(asked) & set(primes_up_to(120))
+        gm.gm_norm(47)
+        assert asked.count(47) == 1
 
     def test_no_representation_meets_every_hypothesis(self, suite_2000_eight_d):
         # The CLI's --strict exit code counts these verdicts alone.
