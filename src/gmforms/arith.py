@@ -283,6 +283,9 @@ def proth_test(n: int) -> bool:
     m = ((n - 1) & (1 - n)).bit_length() - 1
     if n < 3 or (n - 1) >> m >= 1 << m:
         raise ValueError(f"{n} is not k*2^m + 1 with odd k < 2^m")
+    if math.isqrt(n) ** 2 == n:
+        # Every unit has (a/n) = 1: the search for a runs to n's least prime.
+        return False
     a = 2
     while True:
         j = jacobi(a, n)

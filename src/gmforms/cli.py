@@ -28,16 +28,12 @@ from . import report
 DEFAULT_MAX_EXPONENT = 2000
 
 
-class UsageError(Exception):
-    pass
-
-
 def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> None:
     """Write the report to stdout, or atomically to out.
 
     The file is written beside out and renamed over it, so an interrupted or
     failed write leaves the previous report (or none), never a truncated one,
-    and is a UsageError: exit code 1 means a result, not a lost report.
+    and is a ValueError: exit code 1 means a result, not a lost report.
     """
     text = report.emit_json(envelope) if emit == "json" else report.emit_table(envelope)
     if not out:
@@ -49,7 +45,7 @@ def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> No
             handle.write(text)
         os.replace(tmp, out)
     except OSError as exc:
-        raise UsageError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -59,9 +55,9 @@ def _parse_d_list(raw: str) -> list[int]:
     try:
         values = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad --d list: {raw!r}") from exc
+        raise ValueError(f"bad --d list: {raw!r}") from exc
     if not values:
-        raise UsageError("empty --d list")
+        raise ValueError("empty --d list")
     return list(dict.fromkeys(values))
 
 
@@ -69,7 +65,7 @@ def _check_cap(args: argparse.Namespace, option: str, p: int) -> None:
     """Refuse an exponent above --max-exponent, the desk-scale cap."""
     cap = args.max_exponent
     if p > cap:
-        raise UsageError(f"{option} must be <= {cap} (--max-exponent), got {p}")
+        raise ValueError(f"{option} must be <= {cap} (--max-exponent), got {p}")
 
 
 # Each cmd_* returns its report envelope and the exit code; main writes the report.
@@ -112,11 +108,11 @@ def cmd_represent(args: argparse.Namespace) -> Outcome:
 
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     if args.pmax < 7:
-        raise UsageError("need pmax >= 7")
+        raise ValueError("need pmax >= 7")
     _check_cap(args, "--pmax", args.pmax)
     d_list = _parse_d_list(args.d)
     if not args.generalized and d_list != [7]:
-        raise UsageError("without --generalized only --d 7 is supported")
+        raise ValueError("without --generalized only --d 7 is supported")
     for d in d_list:
         check_d(d)
     print(f"auditing exponents up to {args.pmax} for d in {d_list}", file=sys.stderr)
@@ -230,9 +226,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         envelope, code = args.func(args)
         _write_report(envelope, args.emit, args.out)
         return code
-    except UsageError as exc:
-        print(f"gmforms: error: {exc}", file=sys.stderr)
-        return 2
     except (NotPrimeError, ArithmeticError) as exc:
         print(f"gmforms: internal error: {exc}", file=sys.stderr)
         return 4

@@ -211,40 +211,35 @@ def audit_d_2d(p: int, d: int) -> DTwoDRecord:
 def _overlap(proof: Callable[[], bool], work: Callable[[], _T]) -> tuple[bool, _T]:
     """Return (proof(), work()), running proof() in a forked child meanwhile.
 
-    The child writes one byte, "1" or "0", to a pipe and leaves by os._exit:
-    it never returns into the caller's stack and never flushes the stdio
-    buffers it inherited.  If work() raises, KeyboardInterrupt included, the
-    child is killed and reaped before the error propagates.  A child that
-    fails or is killed raises ChildProcessError, never a False proof.
-    Without os.fork both run here, one after the other.
+    The child answers by its exit status: 0 for True, 1 for False.  Any other
+    status raises ChildProcessError, never a False proof: 2 if proof() raises,
+    SystemExit and KeyboardInterrupt included, or -signal if it is killed.  A
+    proof() that calls os._exit(0) or os._exit(1) itself gives that verdict.
+    The child leaves by os._exit, so it never returns into the caller's stack
+    and never flushes the stdio buffers it inherited.  If work() raises,
+    KeyboardInterrupt included, the child is killed and reaped before the
+    error propagates.  Without os.fork both run here, one after the other.
     """
     if not hasattr(os, "fork"):
         return proof(), work()
-    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
-        status = 1
         try:
-            os.write(write_end, b"1" if proof() else b"0")
-            status = 0
+            os._exit(0 if proof() else 1)
         finally:
-            os._exit(status)
-    os.close(write_end)
+            os._exit(2)
     try:
         result = work()
-        answer = os.read(read_end, 1)
     except BaseException:
         import signal  # only this path needs it, so it stays out of import time
 
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(read_end)
-        _, status = os.waitpid(pid, 0)
-    if status != 0 or answer not in (b"0", b"1"):
-        raise ChildProcessError(
-            f"proof process exited with code {os.waitstatus_to_exitcode(status)}")
-    return answer == b"1", result
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code not in (0, 1):
+        raise ChildProcessError(f"proof process exited with code {code}")
+    return code == 0, result
 
 
 def mersenne_crosscheck(p: int) -> Optional[MersenneRecord]:
@@ -254,8 +249,9 @@ def mersenne_crosscheck(p: int) -> Optional[MersenneRecord]:
     2^p - 1 is composite (skipped record): at once for composite p, else as
     proved by Lucas-Lehmer.  Where os.fork exists, Lucas-Lehmer runs in a
     second process while this one takes the root of -7 on the chance that
-    2^p - 1 is prime; a composite verdict discards the root, a NotPrimeError
-    included.  ChildProcessError if that process fails or is killed.
+    2^p - 1 is prime.  That process answers by its exit status: 0 prime,
+    1 composite, anything else a failure, which raises ChildProcessError.  A
+    composite verdict discards the root, a NotPrimeError included.
     """
     if p % 3 != 1:
         raise ValueError("crosscheck needs p = 1 (mod 3)")

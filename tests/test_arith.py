@@ -516,8 +516,22 @@ class TestProthTest:
     def test_examples(self):
         assert proth_test(3) and proth_test(13) and proth_test(113)
         assert proth_test(G_47)
-        assert not proth_test(9)  # (3/9) = 0
+        assert proth_test(9) is False  # a square
         assert not proth_test(8321)  # G_13 = 53 * 157
+
+    def test_square_rejected_before_base_search(self, monkeypatch):
+        # (a/n) = 1 for every unit a mod a square n, so the search for a base
+        # with (a/n) = -1 would walk up to n's least prime factor.
+        calls = []
+
+        def counting_jacobi(a, n):
+            calls.append(a)
+            return jacobi(a, n)
+
+        monkeypatch.setattr(arith, "jacobi", counting_jacobi)
+        assert proth_test((2**64 + 1) ** 2) is False
+        assert calls == []
+        assert proth_test((2**128 + 1) ** 2) is False  # least prime ~ 6e16
 
     def test_agrees_with_sieve(self):
         primes = set(primes_up_to(10**5))

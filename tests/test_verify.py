@@ -191,6 +191,24 @@ class TestOverlap:
         with pytest.raises(ChildProcessError, match=f"code {-signal.SIGKILL}$"):
             verify._overlap(killed, lambda: None)
 
+    def test_exit_in_proof_is_no_verdict(self):
+        def exits():
+            raise SystemExit(1)
+
+        with pytest.raises(ChildProcessError, match="code 2$"):
+            verify._overlap(exits, lambda: None)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_leaks_no_descriptor(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            verify._overlap(lambda: True, lambda: None)
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_root_failure_kills_the_child(self, monkeypatch):
         def fail(n, d):
             raise ZeroDivisionError("root failed")
