@@ -72,7 +72,6 @@ def principal_form(d: int) -> QuadForm:
 
 
 def inverse(f: QuadForm) -> QuadForm:
-    _check_form(f)
     return reduce(QuadForm(f.a, -f.b, f.c))
 
 
@@ -99,49 +98,46 @@ def enumerate_reduced(d: int) -> list[QuadForm]:
     return sorted(forms)
 
 
-def _solve_linear_mod(a: int, b: int, m: int) -> tuple[int, int]:
-    # Solve a*x = b (mod m); return (x0, period) so solutions are x0 + k*period.
-    if m == 1:
-        return 0, 1
-    g = math.gcd(a, m)
-    if b % g:
-        raise ValueError("no solution to linear congruence")
-    m_red = m // g
-    x0 = (b // g) * pow(a // g, -1, m_red) % m_red
-    return x0, m_red
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    # (g, x, y) with x*a + y*b = g = +-gcd(a, b); g < 0 is possible if b < 0.
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Gauss composition of form classes; returns the reduced composite."""
-    f, g = reduce(f), reduce(g)  # reduce checks each form
-    if f.discriminant() != g.discriminant():
+    """Gauss composition of form classes by Dirichlet's formula; returns the
+    reduced composite (Buell, Binary Quadratic Forms, 4.2; Cohen, A Course in
+    Computational Algebraic Number Theory, 5.4.2).
+
+    With D the discriminant, s = (b1 + b2)/2, u*a1 + v*a2 = gcd(a1, a2) and
+    e = gcd(a1, a2, s) = x*(u*a1 + v*a2) + w*s, the composite is
+    (a3, b3, (b3^2 - D)/(4*a3)) with a3 = a1*a2/e^2 and
+    b3 = (x*(u*a1*b2 + v*a2*b1) + w*(b1*b2 + D)/2)/e mod 2*a3.
+    Flipping the signs of e, x and w together leaves it unchanged.
+    """
+    _check_form(f)
+    _check_form(g)
+    disc = f.discriminant()
+    if g.discriminant() != disc:
         raise ValueError("discriminants must match")
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2, c2 = g.a, g.b, g.c
-    gg = (b2 + b1) // 2
-    h = (b2 - b1) // 2
-    w = math.gcd(math.gcd(a1, a2), gg)
-    j = w
-    s = a1 // w
-    t = a2 // w
-    u = gg // w
-    # Solve k*t - l*s = h, k*u - m*s = c2, l*u - m*t = c1 for integers k, l, m.
-    k0, period = _solve_linear_mod(t * u, h * u + s * c1, s * t)
-    n0, _ = _solve_linear_mod(t * period, h - t * k0, s)
-    k = k0 + period * n0
-    l = (t * k - h) // s
-    m = (t * u * k - h * u - s * c1) // (s * t)
-    a3 = s * t
-    b3 = j * u - (k * t + l * s)
-    c3 = k * l - j * m
-    return reduce(QuadForm(a3, b3, c3))
+    a1, b1, a2, b2 = f.a, f.b, g.a, g.b
+    e1, u, v = _xgcd(a1, a2)
+    e, x, w = _xgcd(e1, (b1 + b2) // 2)
+    a3 = a1 * a2 // (e * e)
+    b3 = (x * (u * a1 * b2 + v * a2 * b1) + w * ((b1 * b2 + disc) // 2)) // e % (2 * a3)
+    return reduce(QuadForm(a3, b3, (b3 * b3 - disc) // (4 * a3)))
 
 
 def form_pow(f: QuadForm, k: int) -> QuadForm:
     """k-th power of a class under composition, k >= 0."""
     _check_form(f)
     result = principal_form(f.discriminant())
-    base = reduce(f)
+    base = f
     while k:
         if k & 1:
             result = compose(result, base)

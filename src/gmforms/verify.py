@@ -251,7 +251,9 @@ def mersenne_crosscheck(p: int) -> Optional[MersenneRecord]:
     second process while this one takes the root of -7 on the chance that
     2^p - 1 is prime.  That process answers by its exit status: 0 prime,
     1 composite, anything else a failure, which raises ChildProcessError.  A
-    composite verdict discards the root, a NotPrimeError included.
+    composite verdict discards the root, a NotPrimeError included.  A prime
+    2^p - 1 = 1 (mod 7) has (-7 / 2^p - 1) = 1 and h(-28) = 1, so it is
+    always represented; a missing representation raises ArithmeticError.
     """
     if p % 3 != 1:
         raise ValueError("crosscheck needs p = 1 (mod 3)")
@@ -271,7 +273,7 @@ def mersenne_crosscheck(p: int) -> Optional[MersenneRecord]:
     if isinstance(rep, NotPrimeError):
         raise rep
     if rep is None:
-        return None
+        raise ArithmeticError(f"prime 2^{p} - 1 has no representation x^2 + 7*y^2")
     return MersenneRecord(p=p, m_value=m, x=rep.x, y=rep.y,
                           x_mod8=rep.x % 8, y_mod8=rep.y % 8)
 

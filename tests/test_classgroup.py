@@ -50,6 +50,30 @@ def random_valid_form(rng):
         return f
 
 
+def random_sl2_image(f, rng):
+    # f taken through a random word in T^k: (x, y) -> (x + k*y, y) and
+    # S: (x, y) -> (-y, x), both in SL2(Z), so the class is unchanged.
+    a, b, c = f.a, f.b, f.c
+    for _ in range(rng.randrange(1, 6)):
+        k = rng.randrange(-5, 6)
+        a, b, c = a, b + 2 * k * a, a * k * k + b * k + c
+        if rng.random() < 0.5:
+            a, b, c = c, -b, a
+    return QuadForm(a, b, c)
+
+
+def represents(f, n):
+    # Exhaustive search: 4*a*n = (2*a*x + b*y)^2 + |D|*y^2 bounds |y|.
+    d = -f.discriminant()
+    y_max = math.isqrt(4 * f.a * n // d)
+    for y in range(-y_max, y_max + 1):
+        t = 4 * f.a * n - d * y * y
+        r = math.isqrt(t)
+        if r * r == t and any((s - f.b * y) % (2 * f.a) == 0 for s in (r, -r)):
+            return True
+    return False
+
+
 class TestReduce:
     def test_examples(self):
         assert reduce(QuadForm(1, 0, 14)) == QuadForm(1, 0, 14)
@@ -131,6 +155,29 @@ class TestCompose:
             for g in forms:
                 for h in forms:
                     assert compose(table[(f, g)], h) == compose(f, table[(g, h)])
+
+    @pytest.mark.parametrize("d", [-56, -84, -420, -924, -1056])
+    def test_composite_represents_product_of_first_coefficients(self, d):
+        # Fixes the law itself, not only up to isomorphism: f represents
+        # f.a and g represents g.a, so their composite represents f.a*g.a.
+        forms = enumerate_reduced(d)
+        for f in forms:
+            for g in forms:
+                assert represents(compose(f, g), f.a * g.a), (f, g)
+
+    @pytest.mark.parametrize("d", [-56, -84, -420, -924, -1056, -8424])
+    def test_non_reduced_inputs(self, d):
+        rng = random.Random(d)
+        forms = enumerate_reduced(d)
+        for f in forms:
+            for g in forms:
+                ff, gg = random_sl2_image(f, rng), random_sl2_image(g, rng)
+                assert reduce(ff) == f and reduce(gg) == g
+                assert compose(ff, gg) == compose(f, g), (ff, gg)
+                assert compose(ff, g) == compose(f, gg) == compose(f, g)
+            ff = random_sl2_image(f, rng)
+            assert inverse(ff) == inverse(f)
+            assert form_pow(ff, 5) == form_pow(f, 5)
 
 
 class TestGroupStructure:

@@ -151,6 +151,14 @@ class TestMersenneCrosscheck:
         with pytest.raises(ValueError):
             mersenne_crosscheck(11)  # 11 = 2 (mod 3)
 
+    def test_missing_representation_raises(self, monkeypatch):
+        # A prime 2^p - 1 with p = 1 (mod 3) is always x^2 + 7*y^2, so no
+        # representation is a broken invariant, never a composite verdict.
+        monkeypatch.setattr(verify, "cornacchia", lambda n, d: None)
+        with pytest.raises(ArithmeticError, match="no representation"):
+            mersenne_crosscheck(7)
+        assert mersenne_crosscheck(37) is None
+
 
 def _serial_crosscheck(p):
     # The serial reference: Lucas-Lehmer, then the root, in one process.
