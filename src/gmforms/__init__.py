@@ -37,7 +37,6 @@ from .verify import (
     artin_class_d7,
     audit_d_2d,
     audit_generalized,
-    audit_lemma,
     audit_theorem_d7,
     mersenne_crosscheck,
     run_suite,

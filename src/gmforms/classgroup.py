@@ -95,7 +95,7 @@ def enumerate_reduced(d: int) -> list[QuadForm]:
             if math.gcd(math.gcd(a, b), c) != 1:
                 continue
             forms.append(QuadForm(a, b, c))
-    return sorted(forms)
+    return forms
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -161,19 +161,23 @@ def group_structure(d: int) -> ClassGroupSummary:
     group up to isomorphism.  For each prime l, let N_j count the elements of
     order dividing l^j (N_0 = 1).  Then N_j / N_(j-1) = l^(r_j), where r_j
     counts the factors divisible by l^j, so the i-th factor (largest first)
-    is the product over l of l^#{j : r_j >= i}.
+    is the product over l of l^#{j : r_j >= i}.  Each order divides h, so a
+    form whose first h powers miss the identity raises ArithmeticError.
     """
     forms = enumerate_reduced(d)
+    h = len(forms)
     identity = principal_form(d)
     orders = []
     for f in forms:
         k, power = 1, f
         while power != identity:
+            if k == h:
+                raise ArithmeticError(f"first h = {h} powers of {f} miss the identity")
             power = compose(power, f)
             k += 1
         orders.append(k)
     factors = [1]
-    for ell in primes_up_to(len(forms)):
+    for ell in primes_up_to(h):
         count, q = 1, ell
         while (n := sum(1 for k in orders if q % k == 0)) > count:
             r = 0  # N_j / N_(j-1) = ell^r
@@ -185,7 +189,7 @@ def group_structure(d: int) -> ClassGroupSummary:
             q *= ell
     return ClassGroupSummary(
         discriminant=d,
-        h=len(forms),
+        h=h,
         cyclic_orders=factors,
         has_order_4_element=any(k % 4 == 0 for k in factors),
     )

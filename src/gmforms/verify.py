@@ -60,17 +60,6 @@ class VerificationRecord:
 
 
 @dataclass(frozen=True)
-class LemmaChecks:
-    x_odd: bool
-    y_even: bool
-    four_divides_y: bool
-    x_pm1_mod8: bool
-
-    def all_pass(self) -> bool:
-        return self.x_odd and self.y_even and self.four_divides_y and self.x_pm1_mod8
-
-
-@dataclass(frozen=True)
 class MersenneRecord:
     p: int
     m_value: int
@@ -86,24 +75,10 @@ class DTwoDRecord:
     d: int
     rep_d: bool
     rep_2d: bool
-    equivalent: bool
-    d_mod4: int
 
 
 def _is_squarefree(d: int) -> bool:
     return d >= 1 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
-
-
-def audit_lemma(x: int, y: int, g: int) -> LemmaChecks:
-    """Check each congruence step for a solved g = x^2 + 7*y^2 independently."""
-    if x * x + 7 * y * y != g:
-        raise ValueError("x^2 + 7*y^2 != g")
-    return LemmaChecks(
-        x_odd=x % 2 == 1,
-        y_even=y % 2 == 0,
-        four_divides_y=y % 4 == 0,
-        x_pm1_mod8=x % 8 in (1, 7),
-    )
 
 
 def artin_class_d7(x: int, y: int) -> str:
@@ -196,15 +171,11 @@ def audit_d_2d(p: int, d: int) -> DTwoDRecord:
     norm = gm_norm(p)
     if math.gcd(norm.value, 2 * d) != 1:
         raise ValueError("ramified case gcd(G_p, 2d) > 1: not audited")
-    rep_d = solve(norm.value, d, norm.is_prime) is not None
-    rep_2d = solve(norm.value, 2 * d, norm.is_prime) is not None
     return DTwoDRecord(
         p=p,
         d=d,
-        rep_d=rep_d,
-        rep_2d=rep_2d,
-        equivalent=rep_d == rep_2d,
-        d_mod4=d % 4,
+        rep_d=solve(norm.value, d, norm.is_prime) is not None,
+        rep_2d=solve(norm.value, 2 * d, norm.is_prime) is not None,
     )
 
 

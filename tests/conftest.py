@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from gmforms import classgroup
 from gmforms.gm import scan_exponents
 from gmforms.verify import run_suite
 
@@ -24,6 +25,23 @@ def suite_600_generalized():
 @pytest.fixture(scope="session")
 def suite_2000_eight_d():
     return run_suite(2000, [7, 31, 55, 79, 103, 127, 151, 199])
+
+
+@pytest.fixture
+def stuck_compose(monkeypatch):
+    """classgroup.compose that returns its first argument, so no power of a
+    non-identity class reaches the identity.  Past 10*h(-56) = 40 calls it
+    raises AssertionError, so an unbounded order loop fails, not hangs."""
+    calls = []
+
+    def stuck(f, g):
+        calls.append((f, g))
+        if len(calls) > 40:
+            raise AssertionError("compose called more than 10*h times")
+        return f
+
+    monkeypatch.setattr(classgroup, "compose", stuck)
+    return calls
 
 
 @pytest.fixture(autouse=True)

@@ -484,6 +484,17 @@ class TestIsProbablePrime:
             assert _strong_probable_prime(n), n
             assert not _strong_lucas_probable_prime(n), n
 
+    def test_strong_lucas_rejects_composite_gaussian_mersenne_norms(self):
+        # Every G_p passes the base-2 half: with G_p - 1 = 2^m * k, k odd,
+        # p | k, and G_p divides 2^(2p) + 1, so 2^(2k) = -1 (mod G_p).  On
+        # G_p, Baillie-PSW rests on its Lucas half alone.
+        composite = [p for p in primes_up_to(400) if p > 2 and p not in A057429]
+        assert len(composite) == 57
+        for p in composite:
+            g = (1 << p) - jacobi(2, p) * (1 << (p + 1) // 2) + 1
+            assert _strong_probable_prime(g), p
+            assert not _strong_lucas_probable_prime(g), p
+
 
 #: OEIS A217255, the strong Lucas pseudoprimes (Selfridge's parameters)
 #: below 2*10^5.

@@ -194,6 +194,12 @@ class TestGroupStructure:
             assert (s.h, s.cyclic_orders) == (math.prod(factors), factors), d
             assert s.has_order_4_element == (factors[0] % 4 == 0)
 
+    def test_order_loop_bounded_by_h(self, stuck_compose):
+        # Each order divides h = 4, so compose runs at most 3 times per form.
+        with pytest.raises(ArithmeticError, match="h = 4"):
+            group_structure(-56)
+        assert len(stuck_compose) == 3
+
     def test_invariant_factors_consistent(self):
         for d in range(-1000, -2):
             if d % 4 not in (0, 1):

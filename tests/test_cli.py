@@ -121,6 +121,11 @@ class TestInternalErrors:
         assert code == 4
         assert "internal error" in err and "no Lucas discriminant" in err
 
+    def test_class_group_invariant_exits_4(self, capsys, stuck_compose):
+        code, out, err = run_cli(capsys, "classgroup", "-56")
+        assert (code, out) == (4, "")
+        assert err.startswith("gmforms: internal error:")
+
 
 class TestVerify:
     def test_clean_range_exits_0(self, capsys):

@@ -20,33 +20,10 @@ from gmforms.verify import (
     artin_class_d7,
     audit_d_2d,
     audit_generalized,
-    audit_lemma,
     audit_theorem_d7,
     mersenne_crosscheck,
     run_suite,
 )
-
-G_47 = 140737471578113
-
-
-class TestAuditLemma:
-    def test_g7_row(self):
-        checks = audit_lemma(1, 4, 113)
-        assert checks.all_pass()
-
-    def test_g47_row(self):
-        checks = audit_lemma(5732351, 3925696, G_47)
-        assert checks.all_pass()
-        assert 5732351 % 8 == 7 and 3925696 % 8 == 0
-
-    def test_negative_control(self):
-        checks = audit_lemma(3, 2, 37)
-        assert not checks.x_pm1_mod8
-
-    def test_identity_enforced(self):
-        with pytest.raises(ValueError):
-            audit_lemma(1, 4, 114)
-
 
 class TestArtin:
     def test_examples(self):
@@ -103,7 +80,7 @@ class TestGeneralized:
 class TestD2D:
     def test_p7_disagrees(self):
         record = audit_d_2d(7, 7)
-        assert (record.rep_d, record.rep_2d, record.equivalent) == (True, False, False)
+        assert (record.rep_d, record.rep_2d) == (True, False)
 
     def test_p47_agrees(self):
         record = audit_d_2d(47, 7)
@@ -275,13 +252,15 @@ class TestRunSuite:
             assert r.artin_trivial and artin_class_d7(rep.x, rep.y) == "trivial"
 
     def test_lemma_holds_on_every_representation(self, suite_600_d7):
-        # The elementary congruence lemma (x odd, x = +-1 mod 8, 4 | y) holds
-        # on every solved instance, including the ones refuting the 8 | y claim.
+        # README's theorem (x = +-1 mod 8, 4 | y for p = +-1 mod 8, p > 7)
+        # holds on every solved instance, the ones refuting 8 | y included;
+        # it holds at p = 7 as well (G_7 = 1 + 7*4^2).
         records, _ = suite_600_d7
         for r in records:
-            if r.representation is not None:
-                assert audit_lemma(r.representation.x, r.representation.y,
-                                   r.g_value).all_pass(), r.p
+            rep = r.representation
+            if rep is not None:
+                assert rep.x**2 + r.d * rep.y**2 == r.g_value, r.p
+                assert rep.x % 8 in (1, 7) and rep.y % 4 == 0, r.p
 
     def test_counterexamples_to_eight_divides_y(self, suite_600_d7):
         # Frozen regression data: the audited claim fails at exactly these
