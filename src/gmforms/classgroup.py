@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import primes_up_to, sqrt_mod_prime
+from .arith import sqrt_mod_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -50,14 +50,12 @@ def reduce(f: QuadForm) -> QuadForm:
     _check_form(f)
     a, b, c = f.a, f.b, f.c
     while True:
-        if not -a < b <= a:
-            # Normalize: b -> b + 2ra into (-a, a].
-            r = (a - b) // (2 * a)
-            b, c = b + 2 * r * a, a * r * r + b * r + c
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        break
+        # Normalize: b -> b + 2ra into (-a, a]; r = 0 when b is there already.
+        r = (a - b) // (2 * a)
+        b, c = b + 2 * r * a, a * r * r + b * r + c
+        if a <= c:
+            break
+        a, b, c = c, -b, a
     if a == c and b < 0:
         b = -b
     return QuadForm(a, b, c)
@@ -87,14 +85,9 @@ def enumerate_reduced(d: int) -> list[QuadForm]:
         for b in range(-a + 1, a + 1):
             if (b * b - d) % (4 * a):
                 continue
-            c = (b * b - d) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            forms.append(QuadForm(a, b, c))
+            f = QuadForm(a, b, (b * b - d) // (4 * a))
+            if f.is_reduced() and math.gcd(math.gcd(a, b), f.c) == 1:
+                forms.append(f)
     return forms
 
 
@@ -157,11 +150,10 @@ class ClassGroupSummary:
 def group_structure(d: int) -> ClassGroupSummary:
     """Class number and invariant-factor decomposition of the form class group.
 
-    The factors are read off the element orders, which fix a finite abelian
-    group up to isomorphism.  For each prime l, let N_j count the elements of
-    order dividing l^j (N_0 = 1).  Then N_j / N_(j-1) = l^(r_j), where r_j
-    counts the factors divisible by l^j, so the i-th factor (largest first)
-    is the product over l of l^#{j : r_j >= i}.  Each order divides h, so a
+    In Z/k1 x ... x Z/kr, n(m) = prod gcd(m, ki) elements satisfy x^m = 1.
+    Counted from the element orders for each divisor m of h, the largest factor
+    is the exponent e, the least m with n(m) = n(h); n(m) // gcd(m, e) counts
+    the rest, so the split repeats while n(h) > 1.  Each order divides h, so a
     form whose first h powers miss the identity raises ArithmeticError.
     """
     forms = enumerate_reduced(d)
@@ -176,21 +168,16 @@ def group_structure(d: int) -> ClassGroupSummary:
             power = compose(power, f)
             k += 1
         orders.append(k)
-    factors = [1]
-    for ell in primes_up_to(h):
-        count, q = 1, ell
-        while (n := sum(1 for k in orders if q % k == 0)) > count:
-            r = 0  # N_j / N_(j-1) = ell^r
-            while count < n:
-                count, r = count * ell, r + 1
-            factors += [1] * (r - len(factors))
-            for i in range(r):
-                factors[i] *= ell
-            q *= ell
+    divisors = [m for m in range(1, h + 1) if h % m == 0]
+    counts = [sum(1 for k in orders if m % k == 0) for m in divisors]
+    factors = []
+    while counts[-1] > 1:
+        factors.append(e := divisors[counts.index(counts[-1])])
+        counts = [n // math.gcd(m, e) for m, n in zip(divisors, counts)]
     return ClassGroupSummary(
         discriminant=d,
         h=h,
-        cyclic_orders=factors,
+        cyclic_orders=factors or [1],
         has_order_4_element=any(k % 4 == 0 for k in factors),
     )
 

@@ -32,12 +32,16 @@ def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> No
     """Write the report to stdout, or atomically to out.
 
     The file is written beside out and renamed over it, so an interrupted or
-    failed write leaves the previous report (or none), never a truncated one,
-    and is a ValueError: exit code 1 means a result, not a lost report.
+    failed write leaves the previous report (or none), never a truncated one.
+    Any failed write is a ValueError, so exit code 1 never means a lost report.
     """
     text = report.emit_json(envelope) if emit == "json" else report.emit_table(envelope)
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write report to stdout: {exc.strerror or exc}") from exc
         return
     tmp = f"{out}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:

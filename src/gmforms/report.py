@@ -1,9 +1,9 @@
 """Report serialization: JSON envelopes and aligned-text tables.
 
-The fields holding a norm or a coordinate (value, g_value, n, x, y) are
-serialized as decimal strings, since they exceed 64-bit and float-safe
-ranges; field names are snake_case.  The generated_at timestamp is the only
-field excluded from determinism comparisons.
+The fields holding a norm or a coordinate (value, g_value, m_value, n, x,
+y) are serialized as decimal strings, since they exceed 64-bit and
+float-safe ranges; field names are snake_case.  The generated_at timestamp
+is the only field excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any
 from . import __version__
 
 #: Record fields written as decimal strings, at any nesting depth.
-DECIMAL_FIELDS = frozenset({"value", "g_value", "n", "x", "y"})
+DECIMAL_FIELDS = frozenset({"value", "g_value", "m_value", "n", "x", "y"})
 
 
 def _decimal_strings(fields: list[tuple[str, Any]]) -> dict[str, Any]:

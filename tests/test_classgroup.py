@@ -189,7 +189,10 @@ class TestGroupStructure:
         s = group_structure(-84)
         assert (s.h, s.cyclic_orders, s.has_order_4_element) == (4, [2, 2], False)
         for d, factors in ((-420, [2, 2, 2]), (-1056, [4, 2, 2]), (-1872, [4, 4]),
-                           (-3080, [8, 2, 2]), (-3536, [8, 4])):
+                           (-3080, [8, 2, 2]), (-3536, [8, 4]),
+                           (-8 * 4015, [20, 2, 2]), (-8 * 4879, [16, 2, 2]),
+                           (-8 * 5359, [16, 4]), (-8 * 4471, [24, 4]),
+                           (-8 * 4807, [32, 2, 2])):
             s = group_structure(d)
             assert (s.h, s.cyclic_orders) == (math.prod(factors), factors), d
             assert s.has_order_4_element == (factors[0] % 4 == 0)

@@ -344,6 +344,22 @@ class TestConfigAndOutput:
         assert os.listdir(tmp_path) == ["reports"]
         assert os.listdir(tmp_path / "reports") == []
 
+    def test_closed_stdout_exits_2(self, capsys, monkeypatch):
+        # A reader that has gone away must not read as exit 1 (no
+        # representation) or as the verdict's own code.
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
+        code = main(["verify", "--pmax", "240", "--d", "7"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.endswith("gmforms: error: cannot write report to stdout: Broken pipe\n")
+
     def test_table_emit(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "60",
                                "--emit", "table")

@@ -113,6 +113,13 @@ class TestMersenneCrosscheck:
         assert record.m_value == 8191
         assert record.x_mod8 == 0 and record.y_mod8 in (3, 5)
 
+    def test_m_value_reported_as_decimal_string(self):
+        # 2^607 - 1 has 183 digits; like the norms, it is written as a string.
+        record = mersenne_crosscheck(607)
+        fields = to_dict(record)
+        assert fields["m_value"] == str((1 << 607) - 1) and len(fields["m_value"]) == 183
+        assert (fields["x"], fields["y"]) == (str(record.x), str(record.y))
+
     def test_composite_skipped(self):
         assert mersenne_crosscheck(37) is None  # 2^37 - 1 = 223 * 616318177
 
