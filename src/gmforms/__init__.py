@@ -21,7 +21,6 @@ from .classgroup import (
     represented_by_class,
 )
 from .gm import (
-    GaussianInt,
     GmNorm,
     epsilon,
     gm_norm,

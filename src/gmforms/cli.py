@@ -6,7 +6,8 @@ report, 3 refuted theorem, 4 internal error (a number taken to be prime failed
 a prime-only identity, or the arithmetic met a case it rules out).
 The one global option, --max-exponent, caps --pmax and --p of every command
 that builds G_p; library calls have no cap. Nothing is read from a file or
-the environment. Progress goes to stderr; the data stream stays machine-clean.
+the environment. Progress and errors go to stderr, best-effort: no exit code
+depends on them. The data stream stays machine-clean.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Optional
 
 from .arith import NotPrimeError
 from .classgroup import enumerate_reduced, group_structure
-from .gm import gm_norm, predict_congruences, scan_exponents
+from .gm import _closed_form, gm_norm, predict_congruences, scan_exponents
 from .represent import solve
 from .verify import check_d, run_suite
 from . import report
@@ -33,11 +34,14 @@ def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> No
 
     The file is written beside out and renamed over it, so an interrupted or
     failed write leaves the previous report (or none), never a truncated one.
-    Any failed write is a ValueError, so exit code 1 never means a lost report.
+    Any failed write, a closed (None) stdout included, is a ValueError, so
+    exit code 1 never means a lost report.
     """
     text = report.emit_json(envelope) if emit == "json" else report.emit_table(envelope)
     if not out:
         try:
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
@@ -53,6 +57,13 @@ def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> No
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+
+
+def _note(line: str) -> None:
+    """Write one line to stderr if it can be written, and drop it if not."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr, flush=True)
 
 
 def _parse_d_list(raw: str) -> list[int]:
@@ -119,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         raise ValueError("without --generalized only --d 7 is supported")
     for d in d_list:
         check_d(d)
-    print(f"auditing exponents up to {args.pmax} for d in {d_list}", file=sys.stderr)
+    _note(f"auditing exponents up to {args.pmax} for d in {d_list}")
     records, summary = run_suite(args.pmax, d_list)
     envelope = report.make_envelope(
         "verify",
@@ -153,10 +164,11 @@ def cmd_classgroup(args: argparse.Namespace) -> Outcome:
 
 def cmd_congruences(args: argparse.Namespace) -> Outcome:
     _check_cap(args, "--p", args.p)
-    norm = gm_norm(args.p)
+    predictions = predict_congruences(args.p)  # checks --p
+    _, value = _closed_form(args.p)
     records = []
-    for modulus, (predicted, applicable) in predict_congruences(args.p).items():
-        actual = norm.value % modulus
+    for modulus, (predicted, applicable) in predictions.items():
+        actual = value % modulus
         records.append({
             "p": args.p,
             "modulus": modulus,
@@ -231,10 +243,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         _write_report(envelope, args.emit, args.out)
         return code
     except (NotPrimeError, ArithmeticError) as exc:
-        print(f"gmforms: internal error: {exc}", file=sys.stderr)
+        _note(f"gmforms: internal error: {exc}")
         return 4
     except ValueError as exc:
-        print(f"gmforms: error: {exc}", file=sys.stderr)
+        _note(f"gmforms: error: {exc}")
         return 2
 
 

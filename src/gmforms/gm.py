@@ -11,39 +11,6 @@ from .arith import is_probable_prime, jacobi, primes_up_to, proth_test
 
 
 @dataclass(frozen=True)
-class GaussianInt:
-    """An element of Z[i]."""
-
-    re: int
-    im: int
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def pow(self, k: int) -> "GaussianInt":
-        """Square-and-multiply exponentiation, k >= 0."""
-        if k < 0:
-            raise ValueError("exponent must be >= 0")
-        result = GaussianInt(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-
-@dataclass(frozen=True)
 class GmNorm:
     """One Gaussian Mersenne candidate: norm of (1+i)^p - 1."""
 
@@ -104,21 +71,31 @@ def gm_norm(p: int) -> GmNorm:
     return _build_norm(p)
 
 
+def _closed_form(p: int) -> tuple[int, int]:
+    # (2/p) and the value of G_p, with no primality proof; p as for _build_norm.
+    eps = jacobi(2, p)
+    return eps, (1 << p) - eps * (1 << (p + 1) // 2) + 1
+
+
 def _build_norm(p: int) -> GmNorm:
     # gm_norm for an odd prime p that the caller has already checked or sieved.
-    eps = jacobi(2, p)
-    value = (1 << p) - eps * (1 << (p + 1) // 2) + 1
+    eps, value = _closed_form(p)
     return GmNorm(p=p, epsilon=eps, value=value, primality=_classify(p, value))
 
 
 def gm_norm_oracle(p: int) -> int:
-    """Norm of (1+i)^p - 1 by direct Gaussian-integer exponentiation.
+    """Norm of (1+i)^p - 1 by square-and-multiply in Z[i].
 
-    Independent of the closed formula in gm_norm.
+    Works on (re, im) integer pairs, independent of the closed formula in
+    gm_norm.
     """
     _require_odd_prime(p)
-    mu = GaussianInt(1, 1).pow(p) - GaussianInt(1, 0)
-    return mu.norm()
+    re, im = 1, 0
+    for bit in bin(p)[2:]:
+        re, im = re * re - im * im, 2 * re * im
+        if bit == "1":
+            re, im = re - im, re + im  # times 1 + i
+    return (re - 1) ** 2 + im ** 2
 
 
 def predict_congruences(p: int) -> dict[int, tuple[Optional[int], bool]]:

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -238,11 +240,11 @@ class TestCongruences:
 
 @pytest.mark.parametrize("argv,checks", [
     (("represent", "--p", "47", "--d", "7"), 1),
-    (("congruences", "--p", "47"), 2),
+    (("congruences", "--p", "47"), 1),
 ])
 def test_exponent_primality_left_to_library(capsys, monkeypatch, argv, checks):
-    # The CLI runs no primality test of its own on --p: gm_norm asks once,
-    # and predict_congruences once more, through epsilon.
+    # The CLI runs no primality test of its own on --p: represent asks once,
+    # in gm_norm, and congruences once, in predict_congruences.
     original = arith.is_probable_prime
     asked = []
 
@@ -254,6 +256,21 @@ def test_exponent_primality_left_to_library(capsys, monkeypatch, argv, checks):
         monkeypatch.setattr(module, "is_probable_prime", counting, raising=False)
     assert run_cli(capsys, *argv)[0] == 0
     assert asked.count(47) == checks
+
+
+def test_congruences_proves_nothing(capsys, monkeypatch):
+    # The residues of G_p need its value only, not a proof of its primality.
+    original = arith.proth_test
+    proved = []
+
+    def counting(n):
+        proved.append(n)
+        return original(n)
+
+    for module in (arith, gm):
+        monkeypatch.setattr(module, "proth_test", counting)
+    assert run_cli(capsys, "congruences", "--p", "47")[0] == 0
+    assert proved == []
 
 
 # SHA-256 of each report, recorded before the per-type record serializers
@@ -360,6 +377,13 @@ class TestConfigAndOutput:
         assert code == 2
         assert err.endswith("gmforms: error: cannot write report to stdout: Broken pipe\n")
 
+    def test_stdout_none_exits_2(self, capsys, monkeypatch):
+        # The interpreter sets sys.stdout to None when descriptor 1 is closed.
+        monkeypatch.setattr(cli.sys, "stdout", None)
+        assert main(["classgroup", "-56"]) == 2
+        assert capsys.readouterr().err == (
+            "gmforms: error: cannot write report to stdout: stdout is closed\n")
+
     def test_table_emit(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--pmin", "3", "--pmax", "60",
                                "--emit", "table")
@@ -393,6 +417,58 @@ class TestConfigAndOutput:
         with pytest.raises(SystemExit) as exc:
             main(["--config", "x", "scan", "--pmax", "60"])
         assert exc.value.code == 2
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def run_module(argv, close_fd=None, **streams):
+    """Run python -m gmforms.cli in a child, with descriptor close_fd closed."""
+    return subprocess.run(
+        [sys.executable, "-m", "gmforms.cli", *argv], timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=None if close_fd is None else (lambda: os.close(close_fd)),
+        **streams)
+
+
+def report_without_timestamp(out):
+    envelope = json.loads(out)
+    envelope.pop("generated_at")
+    return envelope
+
+
+class TestClosedStreams:
+    # A lost stream must not read as a verdict: a closed stdout loses the
+    # report (exit 2), while stderr lines are best-effort and change nothing.
+    VERIFY = ["verify", "--pmax", "60", "--d", "7"]
+
+    def test_closed_stdout_descriptor_exits_2(self):
+        proc = run_module(["classgroup", "-56"], close_fd=1, stderr=subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stderr == (b"gmforms: error: cannot write report to stdout: "
+                               b"stdout is closed\n")
+
+    def test_closed_stderr_keeps_report(self):
+        reference = run_module(self.VERIFY, capture_output=True)
+        assert reference.returncode == 0 and b"auditing" in reference.stderr
+        proc = run_module(self.VERIFY, close_fd=2, stdout=subprocess.PIPE)
+        assert proc.returncode == 0
+        assert (report_without_timestamp(proc.stdout)
+                == report_without_timestamp(reference.stdout))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stderr_keeps_report(self):
+        reference = run_module(self.VERIFY, stdout=subprocess.PIPE)
+        with open("/dev/full", "w") as full:
+            proc = run_module(self.VERIFY, stdout=subprocess.PIPE, stderr=full)
+        assert proc.returncode == 0
+        assert (report_without_timestamp(proc.stdout)
+                == report_without_timestamp(reference.stdout))
+
+    def test_closed_stderr_usage_error_exits_2(self):
+        proc = run_module(["verify", "--pmax", "3", "--d", "7"], close_fd=2,
+                          stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -1,10 +1,8 @@
-import random
 
 import pytest
 
 from gmforms.arith import is_probable_prime, primes_up_to
 from gmforms.gm import (
-    GaussianInt,
     epsilon,
     gm_norm,
     gm_norm_oracle,
@@ -16,26 +14,6 @@ G_73 = 9444732965601851473921
 G_113 = 10384593717069655112945804582584321
 
 ODD_PRIMES_601 = [p for p in primes_up_to(601) if p > 2]
-
-
-class TestGaussianInt:
-    def test_norm_multiplicative(self):
-        rng = random.Random(6)
-        for _ in range(500):
-            z = GaussianInt(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
-            w = GaussianInt(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
-            assert (z * w).norm() == z.norm() * w.norm()
-
-    def test_pow_matches_repeated_multiplication(self):
-        z = GaussianInt(1, 1)
-        acc = GaussianInt(1, 0)
-        for k in range(12):
-            assert z.pow(k) == acc
-            acc = acc * z
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianInt(1, 1).pow(-1)
 
 
 class TestEpsilon:
@@ -100,12 +78,6 @@ class TestOracle:
     def test_formula_matches_oracle(self):
         for p in ODD_PRIMES_601:
             assert gm_norm(p).value == gm_norm_oracle(p)
-
-    def test_conjugate_generator_same_norm(self):
-        for p in (3, 7, 29, 113, 601):
-            z = GaussianInt(1, 1).pow(p) - GaussianInt(1, 0)
-            w = GaussianInt(1, -1).pow(p) - GaussianInt(1, 0)
-            assert z.norm() == w.norm()
 
 
 class TestCongruences:
