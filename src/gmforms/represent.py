@@ -60,11 +60,7 @@ def cornacchia(n: int, d: int) -> Optional[Representation]:
     y = math.isqrt(rem)
     if y * y != rem or y == 0:
         return None
-    x = b
-    if d == 1 and x < y:
-        # x^2 + y^2 is symmetric; normalize to the smallest-y pair.
-        x, y = y, x
-    return Representation(n=n, d=d, x=x, y=y)
+    return Representation(n=n, d=d, x=b, y=y)
 
 
 def represent_bruteforce(n: int, d: int) -> Optional[Representation]:

@@ -69,14 +69,6 @@ class MersenneRecord:
     y_mod8: int
 
 
-@dataclass(frozen=True)
-class DTwoDRecord:
-    p: int
-    d: int
-    rep_d: bool
-    rep_2d: bool
-
-
 def _is_squarefree(d: int) -> bool:
     return d >= 1 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
 
@@ -159,8 +151,8 @@ def audit_generalized(p: int, d: int) -> VerificationRecord:
     return _audit(gm_norm(p), d, _d_facts(d))
 
 
-def audit_d_2d(p: int, d: int) -> DTwoDRecord:
-    """Compare representability of G_p by x^2 + d*y^2 vs x^2 + 2d*y^2.
+def audit_d_2d(p: int, d: int) -> tuple[bool, bool]:
+    """Whether G_p is represented by (x^2 + d*y^2, x^2 + 2d*y^2).
 
     Reported as observational data; the equivalence is conditional on a
     field-equality hypothesis this artifact cannot decide.  Both forms are
@@ -171,12 +163,8 @@ def audit_d_2d(p: int, d: int) -> DTwoDRecord:
     norm = gm_norm(p)
     if math.gcd(norm.value, 2 * d) != 1:
         raise ValueError("ramified case gcd(G_p, 2d) > 1: not audited")
-    return DTwoDRecord(
-        p=p,
-        d=d,
-        rep_d=solve(norm.value, d, norm.is_prime) is not None,
-        rep_2d=solve(norm.value, 2 * d, norm.is_prime) is not None,
-    )
+    return (solve(norm.value, d, norm.is_prime) is not None,
+            solve(norm.value, 2 * d, norm.is_prime) is not None)
 
 
 def _overlap(proof: Callable[[], bool], work: Callable[[], _T]) -> tuple[bool, _T]:

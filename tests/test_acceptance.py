@@ -192,8 +192,7 @@ def test_criterion_8_generalized_theorem(suite_600_generalized):
 def test_criterion_9_d_2d_audit(scan_to_600):
     failures = []
     for norm in scan_to_600:
-        record = audit_d_2d(norm.p, 7)
-        rep_7, rep_14 = record.rep_d, record.rep_2d
+        rep_7, rep_14 = audit_d_2d(norm.p, 7)
         if norm.p == 7:
             if rep_7 == rep_14:
                 failures.append("p=7 should be the documented disagreement")

@@ -165,6 +165,15 @@ class TestVerify:
             assert f"d must be square-free and = 7 (mod 24), got {d}" in err
             assert "auditing" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--pmax", "60", "--d", "7,x"), "bad --d list: '7,x'"),
+        (("--pmax", "60", "--d", ","), "empty --d list"),
+        (("--pmax", "5", "--d", "7"), "need pmax >= 7"),
+    ])
+    def test_usage_error_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"gmforms: error: {message}\n")
+
     def test_non_generalized_requires_d7(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--pmax", "120", "--d", "31")
         assert code == 2
@@ -298,6 +307,14 @@ REPORT_DIGESTS = [
     (("congruences", "--p", "5"),
      "c638e7a49944d6be14a72416d095f10f27cd8b5875638d7abcd9c12462dba4d7",
      "450eb212b66fd712c672d9645edc19ad58fe4cc3099c67b17b3b7a8b157750e2"),
+    # The only table with a cell holding a dict of flags.
+    (("verify", "--pmax", "120", "--d", "7"),
+     "009eaf617711db5d1bd4c482cc6ac8227eaae60ccefc9d2c40728258c35b2a43",
+     "96d5a95fd9c8120a5287abc520112d73d54f976a44a2e91d0de6927e30a7f3ff"),
+    # The "(no records)" table.
+    (("scan", "--pmin", "4", "--pmax", "4"),
+     "13c731251709d0c8129adf933b3021e4128f34d366bc72703ccdf582bd2a5321",
+     "de28132099bf92b5af4d47bdeffdc47a616b6ea1389c22ff733fd80d77d6a10e"),
 ]
 
 

@@ -79,12 +79,19 @@ class TestGeneralized:
 
 class TestD2D:
     def test_p7_disagrees(self):
-        record = audit_d_2d(7, 7)
-        assert (record.rep_d, record.rep_2d) == (True, False)
+        assert audit_d_2d(7, 7) == (True, False)
 
     def test_p47_agrees(self):
-        record = audit_d_2d(47, 7)
-        assert record.rep_d and record.rep_2d
+        assert audit_d_2d(47, 7) == (True, True)
+
+    def test_d_not_squarefree(self):
+        with pytest.raises(ValueError, match="d must be square-free"):
+            audit_d_2d(47, 28)
+
+    def test_ramified_case(self):
+        # G_3 = 13 divides 2d = 26.
+        with pytest.raises(ValueError, match=r"ramified case gcd\(G_p, 2d\) > 1"):
+            audit_d_2d(3, 13)
 
     def test_gp_primality_not_retested(self, monkeypatch):
         # gm_norm has decided G_p; audit_d_2d must solve on that proof rather
