@@ -28,8 +28,7 @@ from .gm import (
     predict_congruences,
     scan_exponents,
 )
-from .represent import (Representation, cornacchia, represent_bruteforce,
-                        representable, solve)
+from .represent import Representation, cornacchia, represent_bruteforce, solve
 from .verify import (
     MersenneRecord,
     VerificationRecord,

@@ -76,31 +76,18 @@ def _parse_d_list(raw: str) -> list[int]:
     return list(dict.fromkeys(values))
 
 
-def _check_cap(args: argparse.Namespace, option: str, p: int) -> None:
-    """Refuse an exponent above --max-exponent, the desk-scale cap."""
-    cap = args.max_exponent
-    if p > cap:
-        raise ValueError(f"{option} must be <= {cap} (--max-exponent), got {p}")
-
-
-# Each cmd_* returns its report envelope and the exit code; main writes the report.
-Outcome = tuple[dict[str, Any], int]
+# Each cmd_* returns the report's parameters, records and summary, and the
+# exit code; main checks the exponent cap before it and writes the report.
+Outcome = tuple[dict[str, Any], list[dict[str, Any]], dict[str, Any], int]
 
 
 def cmd_scan(args: argparse.Namespace) -> Outcome:
-    _check_cap(args, "--pmax", args.pmax)
     hits = scan_exponents(args.pmin, args.pmax)
-    envelope = report.make_envelope(
-        "scan",
-        {"pmin": args.pmin, "pmax": args.pmax},
-        [report.to_dict(norm) for norm in hits],
-        {"count": len(hits)},
-    )
-    return envelope, 0
+    return ({"pmin": args.pmin, "pmax": args.pmax},
+            [report.to_dict(norm) for norm in hits], {"count": len(hits)}, 0)
 
 
 def cmd_represent(args: argparse.Namespace) -> Outcome:
-    _check_cap(args, "--p", args.p)
     norm = gm_norm(args.p)
     rep = solve(norm.value, args.d, norm.is_prime)
     record: dict[str, Any] = {
@@ -112,19 +99,13 @@ def cmd_represent(args: argparse.Namespace) -> Outcome:
         "x_mod8": rep.x % 8 if rep else None,
         "y_mod8": rep.y % 8 if rep else None,
     }
-    envelope = report.make_envelope(
-        "represent",
-        {"p": args.p, "d": args.d},
-        [record],
-        {"solved": 1 if rep else 0},
-    )
-    return envelope, 0 if rep else 1
+    return ({"p": args.p, "d": args.d}, [record], {"solved": 1 if rep else 0},
+            0 if rep else 1)
 
 
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     if args.pmax < 7:
         raise ValueError("need pmax >= 7")
-    _check_cap(args, "--pmax", args.pmax)
     d_list = _parse_d_list(args.d)
     if not args.generalized and d_list != [7]:
         raise ValueError("without --generalized only --d 7 is supported")
@@ -132,38 +113,29 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         check_d(d)
     _note(f"auditing exponents up to {args.pmax} for d in {d_list}")
     records, summary = run_suite(args.pmax, d_list)
-    envelope = report.make_envelope(
-        "verify",
-        {
-            "pmax": args.pmax,
-            "d": d_list,
-            "generalized": args.generalized,
-            "strict": args.strict,
-        },
-        [report.to_dict(r) for r in records],
-        summary,
-    )
+    parameters = {
+        "pmax": args.pmax,
+        "d": d_list,
+        "generalized": args.generalized,
+        "strict": args.strict,
+    }
     if summary["refuted"] > 0:
-        return envelope, 3
-    # The audit gives no-representation only to records meeting every hypothesis.
-    return envelope, 1 if args.strict and summary["no-representation"] else 0
+        code = 3
+    else:
+        # The audit gives no-representation only to records meeting every hypothesis.
+        code = 1 if args.strict and summary["no-representation"] else 0
+    return parameters, [report.to_dict(r) for r in records], summary, code
 
 
 def cmd_classgroup(args: argparse.Namespace) -> Outcome:
     d = args.discriminant
     summary = group_structure(d)
     forms = [[f.a, f.b, f.c] for f in enumerate_reduced(d)]
-    envelope = report.make_envelope(
-        "classgroup",
-        {"discriminant": d},
-        [{**report.to_dict(summary), "forms": forms}],
-        {"h": summary.h},
-    )
-    return envelope, 0
+    return ({"discriminant": d}, [{**report.to_dict(summary), "forms": forms}],
+            {"h": summary.h}, 0)
 
 
 def cmd_congruences(args: argparse.Namespace) -> Outcome:
-    _check_cap(args, "--p", args.p)
     predictions = predict_congruences(args.p)  # checks --p
     _, value = _closed_form(args.p)
     records = []
@@ -177,14 +149,9 @@ def cmd_congruences(args: argparse.Namespace) -> Outcome:
             "applicable": applicable,
             "match": actual == predicted if applicable else None,
         })
-    envelope = report.make_envelope(
-        "congruences",
-        {"p": args.p},
-        records,
-        {"applicable": sum(1 for r in records if r["applicable"]),
-         "matched": sum(1 for r in records if r["match"])},
-    )
-    return envelope, 0
+    summary = {"applicable": sum(1 for r in records if r["applicable"]),
+               "matched": sum(1 for r in records if r["match"])}
+    return {"p": args.p}, records, summary, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +206,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        envelope, code = args.func(args)
+        # The desk-scale cap, checked before any command builds G_p.
+        for option in ("pmax", "p"):
+            p = getattr(args, option, None)
+            if p is not None and p > args.max_exponent:
+                raise ValueError(f"--{option} must be <= {args.max_exponent} "
+                                 f"(--max-exponent), got {p}")
+        parameters, records, summary, code = args.func(args)
+        envelope = report.make_envelope(args.command, parameters, records, summary)
         _write_report(envelope, args.emit, args.out)
         return code
     except (NotPrimeError, ArithmeticError) as exc:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import is_probable_prime, sqrt_mod_prime
+from .arith import sqrt_mod_prime
 
 #: Brute-force search is refused above this (documented desk-scale cap).
 BRUTEFORCE_CAP = 10**12
@@ -93,8 +93,3 @@ def solve(n: int, d: int, prime: bool) -> Optional[Representation]:
     if prime and n > d and n % 2 == 1:
         return cornacchia(n, d)
     return represent_bruteforce(n, d)
-
-
-def representable(n: int, d: int) -> bool:
-    """Whether n = x^2 + d*y^2 has a solution with x > 0 and y > 0."""
-    return solve(n, d, is_probable_prime(n)) is not None

@@ -15,7 +15,7 @@ from gmforms.classgroup import (
     reduce,
     represented_by_class,
 )
-from gmforms.represent import representable
+from gmforms.represent import solve
 
 
 def reduced_forms_oracle(d):
@@ -249,4 +249,4 @@ class TestRepresentedByClass:
                 if n < 3 or math.gcd(n, 8 * d) != 1:
                     continue
                 by_class = principal in represented_by_class(n, -4 * d)
-                assert by_class == representable(n, d), (n, d)
+                assert by_class == (solve(n, d, True) is not None), (n, d)

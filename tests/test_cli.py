@@ -412,6 +412,26 @@ class TestConfigAndOutput:
         assert (code, out) == (2, "")
         assert err == "gmforms: error: --pmax must be <= 100 (--max-exponent), got 120\n"
 
+    CAPPED = [
+        (("verify", "--pmax", "2001", "--d", "7"),
+         "--pmax must be <= 2000 (--max-exponent), got 2001"),
+        # The cap comes before verify's own checks of --d and --pmax.
+        (("verify", "--pmax", "2001", "--d", "x"),
+         "--pmax must be <= 2000 (--max-exponent), got 2001"),
+        (("--max-exponent", "5", "verify", "--pmax", "6", "--d", "7"),
+         "--pmax must be <= 5 (--max-exponent), got 6"),
+        (("represent", "--p", "2001", "--d", "7"),
+         "--p must be <= 2000 (--max-exponent), got 2001"),
+        (("congruences", "--p", "2001"),
+         "--p must be <= 2000 (--max-exponent), got 2001"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", CAPPED,
+                             ids=[" ".join(argv) for argv, _ in CAPPED])
+    def test_max_exponent_cap_enforced_per_command(self, capsys, argv, message):
+        # One error line and no report: verify writes no progress line.
+        assert run_cli(capsys, *argv) == (2, "", f"gmforms: error: {message}\n")
+
     def test_max_exponent_admits_larger_p(self, capsys):
         code, envelope = run_json(capsys, "--max-exponent", "4000",
                                   "represent", "--p", "3041", "--d", "7")

@@ -9,7 +9,6 @@ from gmforms.represent import (
     Representation,
     cornacchia,
     represent_bruteforce,
-    representable,
     solve,
 )
 
@@ -140,16 +139,16 @@ class TestSolve:
 
 class TestRepresentable:
     def test_examples(self):
-        assert representable(113, 7)
-        assert not representable(113, 14)
-        assert representable(G_47, 14)
+        assert solve(113, 7, True) is not None
+        assert solve(113, 14, True) is None
+        assert solve(G_47, 14, True) is not None
 
     def test_composite_routes_to_bruteforce(self):
-        assert representable(8, 7)  # 1 + 7
-        assert not representable(12, 7)
+        assert solve(8, 7, False) is not None  # 1 + 7
+        assert solve(12, 7, False) is None
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            representable(0, 7)
+            solve(0, 7, False)
         with pytest.raises(ValueError):
-            representable(113, 0)
+            solve(113, 0, True)

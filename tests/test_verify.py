@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from gmforms import arith, gm, represent, verify
+from gmforms import arith, gm, verify
 from gmforms.arith import lucas_lehmer, primes_up_to
 from gmforms.represent import cornacchia
 from gmforms.report import to_dict
@@ -104,7 +104,7 @@ class TestD2D:
                 raise AssertionError(f"probable-prime test run on {n}")
             return original(n)
 
-        for module in (arith, gm, represent, verify):
+        for module in (arith, gm, verify):
             monkeypatch.setattr(module, "is_probable_prime", below_2_64)
         assert [audit_d_2d(113, 7), audit_d_2d(47, 7)] == expected
 
