@@ -508,6 +508,21 @@ class TestClosedStreams:
         assert (proc.returncode, proc.stdout) == (2, b"")
 
 
+def test_package_binds_only_modules_and_version(capsys):
+    # Each public name has one import path, its module's: a bare
+    # `import gmforms` binds the five library modules and, of other names,
+    # only __version__, which every report carries as its tool_version.
+    probe = ("import gmforms, json, types; print(json.dumps([gmforms.__version__, "
+             "{name: isinstance(value, types.ModuleType) "
+             "for name, value in vars(gmforms).items() if not name.startswith('_')}]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    version, public = json.loads(proc.stdout)
+    assert public == dict.fromkeys(["arith", "classgroup", "gm", "represent", "verify"], True)
+    code, report = run_json(capsys, "classgroup", "-56")
+    assert code == 0 and report["tool_version"] == version
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
