@@ -145,6 +145,7 @@ class ClassGroupSummary:
     h: int
     cyclic_orders: list[int]  # invariant factors, largest first
     has_order_4_element: bool
+    forms: list[list[int]]  # [a, b, c] of each reduced form, sorted by (a, b)
 
 
 def group_structure(d: int) -> ClassGroupSummary:
@@ -179,6 +180,7 @@ def group_structure(d: int) -> ClassGroupSummary:
         h=h,
         cyclic_orders=factors or [1],
         has_order_4_element=any(k % 4 == 0 for k in factors),
+        forms=[[f.a, f.b, f.c] for f in forms],
     )
 
 

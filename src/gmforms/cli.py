@@ -19,8 +19,8 @@ import sys
 from typing import Any, Optional
 
 from .arith import NotPrimeError
-from .classgroup import enumerate_reduced, group_structure
-from .gm import _closed_form, gm_norm, predict_congruences, scan_exponents
+from .classgroup import group_structure
+from .gm import gm_norm, predict_congruences, scan_exponents
 from .represent import solve
 from .verify import check_d, run_suite
 from . import report
@@ -128,27 +128,20 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_classgroup(args: argparse.Namespace) -> Outcome:
-    d = args.discriminant
-    summary = group_structure(d)
-    forms = [[f.a, f.b, f.c] for f in enumerate_reduced(d)]
-    return ({"discriminant": d}, [{**report.to_dict(summary), "forms": forms}],
+    summary = group_structure(args.discriminant)
+    return ({"discriminant": args.discriminant}, [report.to_dict(summary)],
             {"h": summary.h}, 0)
 
 
 def cmd_congruences(args: argparse.Namespace) -> Outcome:
-    predictions = predict_congruences(args.p)  # checks --p
-    _, value = _closed_form(args.p)
-    records = []
-    for modulus, (predicted, applicable) in predictions.items():
-        actual = value % modulus
-        records.append({
-            "p": args.p,
-            "modulus": modulus,
-            "predicted": predicted,
-            "actual": actual,
-            "applicable": applicable,
-            "match": actual == predicted if applicable else None,
-        })
+    records = [{
+        "p": args.p,
+        "modulus": modulus,
+        "predicted": predicted,
+        "actual": actual,
+        "applicable": applicable,
+        "match": actual == predicted if applicable else None,
+    } for modulus, (predicted, actual, applicable) in predict_congruences(args.p).items()]
     summary = {"applicable": sum(1 for r in records if r["applicable"]),
                "matched": sum(1 for r in records if r["match"])}
     return {"p": args.p}, records, summary, 0

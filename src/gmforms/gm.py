@@ -32,12 +32,6 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-def epsilon(p: int) -> int:
-    """The symbol (2/p): +1 iff p = +-1 (mod 8)."""
-    _require_odd_prime(p)
-    return jacobi(2, p)
-
-
 #: Trial factors q = 4kp + 1 of G_p are tried up to this bound.
 _SIEVE_LIMIT = 1 << 20
 
@@ -98,24 +92,21 @@ def gm_norm_oracle(p: int) -> int:
     return (re - 1) ** 2 + im ** 2
 
 
-def predict_congruences(p: int) -> dict[int, tuple[Optional[int], bool]]:
-    """Predicted residue of G_p by modulus 8, 16, 32, 7, and whether it applies.
+def predict_congruences(p: int) -> dict[int, tuple[Optional[int], int, bool]]:
+    """Predicted and actual residue of G_p by modulus 8, 16, 32, 7, and
+    whether the prediction applies.
 
     Mod 8 needs p > 3; mod 16 needs p = +-1 (mod 8); mod 32 additionally
     p > 7.  The mod-7 residue (1 for p = 1, 4 for p = 5 (mod 6)) needs
-    epsilon = +1: p = 5 violates the ungated claim, as G_5 = 41 = 6 (mod 7).
+    (2/p) = +1: p = 5 violates the ungated claim, as G_5 = 41 = 6 (mod 7).
+    G_p comes from the closed formula, with no primality proof.
     """
-    eps = epsilon(p)
-
-    def one_if(holds: bool) -> tuple[Optional[int], bool]:
-        return (1 if holds else None), holds
-
-    return {
-        8: one_if(p > 3),
-        16: one_if(eps == 1),
-        32: one_if(eps == 1 and p > 7),
-        7: ({1: 1, 5: 4}.get(p % 6), eps == 1),
-    }
+    _require_odd_prime(p)
+    eps, value = _closed_form(p)
+    applies = {8: p > 3, 16: eps == 1, 32: eps == 1 and p > 7}
+    predictions = {m: (1 if ok else None, value % m, ok) for m, ok in applies.items()}
+    predictions[7] = ({1: 1, 5: 4}.get(p % 6), value % 7, eps == 1)
+    return predictions
 
 
 def scan_exponents(p_min: int, p_max: int) -> list[GmNorm]:

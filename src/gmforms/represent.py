@@ -42,8 +42,9 @@ def cornacchia(n: int, d: int) -> Optional[Representation]:
         raise ValueError("d must be >= 1")
     if n % 2 == 0 or n <= d:
         raise ValueError("need odd n > d")
+    # Never 0: 1 <= d < n keeps -d nonzero mod n, and only 0 has root 0.
     r0 = sqrt_mod_prime((-d) % n, n)
-    if r0 is None or r0 == 0:
+    if r0 is None:
         return None
     # The root in (n/2, n): sqrt_mod_prime returns the one in [1, (n-1)/2].
     r0 = n - r0

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gmforms import arith, cli, gm, represent, verify
+from gmforms import arith, classgroup, cli, gm, represent, verify
 from gmforms.cli import main
 from gmforms.report import to_dict
 from gmforms.verify import run_suite
@@ -115,7 +116,7 @@ class TestInternalErrors:
     def test_no_lucas_discriminant_exits_4(self, capsys, monkeypatch):
         # With every Jacobi symbol 1, the Selfridge search for the strong
         # Lucas test of 2^89 - 1 runs out of candidates.  The exponent is
-        # checked (by epsilon, in gm_norm) before G_p is built, so the cap
+        # checked (in predict_congruences) before G_p is built, so the cap
         # is raised to reach that check and no G_p of that size is made.
         monkeypatch.setattr(arith, "jacobi", lambda a, n: 1)
         p = str(2**89 - 1)
@@ -219,6 +220,21 @@ class TestClassgroup:
         _, envelope = run_json(capsys, "classgroup", "-7")
         record = envelope["records"][0]
         assert record["h"] == 1 and record["forms"] == [[1, 1, 2]]
+
+    def test_forms_enumerated_once(self, capsys, monkeypatch):
+        # The record's forms come from group_structure's own enumeration.
+        original = classgroup.enumerate_reduced
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return original(d)
+
+        for module in (classgroup, cli):
+            monkeypatch.setattr(module, "enumerate_reduced", counting, raising=False)
+        code, envelope = run_json(capsys, "classgroup", "-56")
+        assert code == 0 and calls == [-56]
+        assert envelope["records"][0]["forms"] == [[1, 0, 14], [2, 0, 7], [3, -2, 5], [3, 2, 5]]
 
     def test_invalid_discriminant_exits_2(self, capsys):
         for d in ("5", "-6"):
@@ -521,6 +537,15 @@ def test_package_binds_only_modules_and_version(capsys):
     assert public == dict.fromkeys(["arith", "classgroup", "gm", "represent", "verify"], True)
     code, report = run_json(capsys, "classgroup", "-56")
     assert code == 0 and report["tool_version"] == version
+
+
+def test_cli_imports_no_private_name():
+    # Each command formats a library result; no private helper crosses in.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("gmforms"))
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

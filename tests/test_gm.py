@@ -3,7 +3,7 @@ import pytest
 
 from gmforms.arith import is_probable_prime, primes_up_to
 from gmforms.gm import (
-    epsilon,
+    _closed_form,
     gm_norm,
     gm_norm_oracle,
     predict_congruences,
@@ -17,19 +17,20 @@ ODD_PRIMES_601 = [p for p in primes_up_to(601) if p > 2]
 
 
 class TestEpsilon:
+    # The symbol (2/p) that _closed_form returns beside G_p.
     def test_examples(self):
-        assert epsilon(7) == 1
-        assert epsilon(5) == -1
-        assert epsilon(47) == 1
+        assert _closed_form(7)[0] == 1
+        assert _closed_form(5)[0] == -1
+        assert _closed_form(47)[0] == 1
 
     def test_mod8_rule(self):
         for p in ODD_PRIMES_601:
-            assert epsilon(p) == (1 if p % 8 in (1, 7) else -1)
+            assert _closed_form(p)[0] == (1 if p % 8 in (1, 7) else -1)
 
     def test_invalid_p(self):
         for bad in (1, 2, 4, 9):
             with pytest.raises(ValueError):
-                epsilon(bad)
+                predict_congruences(bad)
 
 
 class TestGmNorm:
@@ -101,27 +102,28 @@ class TestCongruences:
             assert gm_norm(p).value % 7 == expected
 
     def test_predictions(self):
-        assert predict_congruences(47)[7] == (4, True)
-        assert predict_congruences(73)[7] == (1, True)
-        # p = 5 has epsilon = -1 and G_5 = 41 = 6 (mod 7): the mod-7 rule
+        assert predict_congruences(47)[7] == (4, 4, True)
+        assert predict_congruences(73)[7] == (1, 1, True)
+        # p = 5 has (2/5) = -1 and G_5 = 41 = 6 (mod 7): the mod-7 rule
         # must be marked not-applicable there.
-        _, applicable = predict_congruences(5)[7]
-        assert not applicable
+        assert predict_congruences(5)[7] == (4, 6, False)
         assert gm_norm(5).value == 41 and 41 % 7 == 6
 
     def test_prediction_flags(self):
         table = predict_congruences(7)
-        assert table[8] == (1, True) and table[16] == (1, True)
-        assert table[32] == (None, False)
-        assert predict_congruences(3)[8] == (None, False)
+        assert table[8] == (1, 1, True) and table[16] == (1, 1, True)
+        assert table[32] == (None, 17, False)  # G_7 = 113
+        assert predict_congruences(3)[8] == (None, 5, False)  # G_3 = 13
 
     def test_applicable_predictions_hold(self):
         for p in ODD_PRIMES_601:
+            value = gm_norm_oracle(p)
             table = predict_congruences(p)
             assert list(table) == [8, 16, 32, 7]
-            for modulus, (predicted, applicable) in table.items():
+            for modulus, (predicted, actual, applicable) in table.items():
+                assert actual == value % modulus, (p, modulus)
                 if applicable:
-                    assert gm_norm(p).value % modulus == predicted, (p, modulus)
+                    assert actual == predicted, (p, modulus)
 
 
 class TestScan:
