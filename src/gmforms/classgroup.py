@@ -1,8 +1,9 @@
 """Binary quadratic forms of negative discriminant: reduction, Gauss
 composition, class numbers, and class-group structure.
 
-Forms are primitive a*x^2 + b*x*y + c*y^2 with a > 0 and b^2 - 4ac < 0.
-Imprimitive input is rejected, never silently divided down.
+A form a*x^2 + b*x*y + c*y^2 is the tuple (a, b, c) of ints; it must be
+primitive with a > 0 and b^2 - 4ac < 0.  Imprimitive input is rejected,
+never silently divided down.
 """
 
 from __future__ import annotations
@@ -13,31 +14,17 @@ from dataclasses import dataclass
 from .arith import sqrt_mod_prime
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    a: int
-    b: int
-    c: int
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
-
-def _check_form(f: QuadForm) -> None:
-    if f.a <= 0:
+def _check_form(f: tuple[int, int, int]) -> int:
+    """The discriminant of f, once f is checked."""
+    a, b, c = f
+    if a <= 0:
         raise ValueError("form must have a > 0")
-    if f.discriminant() >= 0:
+    disc = b * b - 4 * a * c
+    if disc >= 0:
         raise ValueError("discriminant must be negative")
-    if math.gcd(math.gcd(f.a, f.b), f.c) != 1:
+    if math.gcd(a, b, c) != 1:
         raise ValueError("form must be primitive")
+    return disc
 
 
 def _check_discriminant(d: int) -> None:
@@ -45,10 +32,14 @@ def _check_discriminant(d: int) -> None:
         raise ValueError("discriminant must be negative and = 0 or 1 (mod 4)")
 
 
-def reduce(f: QuadForm) -> QuadForm:
+def _is_reduced(a: int, b: int, c: int) -> bool:
+    return abs(b) <= a <= c and not (b < 0 and (a == -b or a == c))
+
+
+def reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
     """The unique reduced form equivalent to f (|b| <= a <= c, boundary b >= 0)."""
     _check_form(f)
-    a, b, c = f.a, f.b, f.c
+    a, b, c = f
     while True:
         # Normalize: b -> b + 2ra into (-a, a]; r = 0 when b is there already.
         r = (a - b) // (2 * a)
@@ -58,22 +49,23 @@ def reduce(f: QuadForm) -> QuadForm:
         a, b, c = c, -b, a
     if a == c and b < 0:
         b = -b
-    return QuadForm(a, b, c)
+    return a, b, c
 
 
-def principal_form(d: int) -> QuadForm:
+def principal_form(d: int) -> tuple[int, int, int]:
     """Identity class of discriminant d: (1, 0, -d/4) or (1, 1, (1-d)/4)."""
     _check_discriminant(d)
     if d % 4 == 0:
-        return QuadForm(1, 0, -d // 4)
-    return QuadForm(1, 1, (1 - d) // 4)
+        return 1, 0, -d // 4
+    return 1, 1, (1 - d) // 4
 
 
-def inverse(f: QuadForm) -> QuadForm:
-    return reduce(QuadForm(f.a, -f.b, f.c))
+def inverse(f: tuple[int, int, int]) -> tuple[int, int, int]:
+    a, b, c = f
+    return reduce((a, -b, c))
 
 
-def enumerate_reduced(d: int) -> list[QuadForm]:
+def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """All primitive reduced forms of discriminant d, sorted by (a, b).
 
     The list length is the class number h(d).
@@ -85,9 +77,9 @@ def enumerate_reduced(d: int) -> list[QuadForm]:
         for b in range(-a + 1, a + 1):
             if (b * b - d) % (4 * a):
                 continue
-            f = QuadForm(a, b, (b * b - d) // (4 * a))
-            if f.is_reduced() and math.gcd(math.gcd(a, b), f.c) == 1:
-                forms.append(f)
+            c = (b * b - d) // (4 * a)
+            if _is_reduced(a, b, c) and math.gcd(a, b, c) == 1:
+                forms.append((a, b, c))
     return forms
 
 
@@ -102,7 +94,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+def compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
     """Gauss composition of form classes by Dirichlet's formula; returns the
     reduced composite (Buell, Binary Quadratic Forms, 4.2; Cohen, A Course in
     Computational Algebraic Number Theory, 5.4.2).
@@ -113,23 +105,22 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     b3 = (x*(u*a1*b2 + v*a2*b1) + w*(b1*b2 + D)/2)/e mod 2*a3.
     Flipping the signs of e, x and w together leaves it unchanged.
     """
-    _check_form(f)
-    _check_form(g)
-    disc = f.discriminant()
-    if g.discriminant() != disc:
+    disc = _check_form(f)
+    if _check_form(g) != disc:
         raise ValueError("discriminants must match")
-    a1, b1, a2, b2 = f.a, f.b, g.a, g.b
+    (a1, b1, _), (a2, b2, _) = f, g
     e1, u, v = _xgcd(a1, a2)
     e, x, w = _xgcd(e1, (b1 + b2) // 2)
     a3 = a1 * a2 // (e * e)
     b3 = (x * (u * a1 * b2 + v * a2 * b1) + w * ((b1 * b2 + disc) // 2)) // e % (2 * a3)
-    return reduce(QuadForm(a3, b3, (b3 * b3 - disc) // (4 * a3)))
+    return reduce((a3, b3, (b3 * b3 - disc) // (4 * a3)))
 
 
-def form_pow(f: QuadForm, k: int) -> QuadForm:
+def form_pow(f: tuple[int, int, int], k: int) -> tuple[int, int, int]:
     """k-th power of a class under composition, k >= 0."""
-    _check_form(f)
-    result = principal_form(f.discriminant())
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    result = principal_form(_check_form(f))
     base = f
     while k:
         if k & 1:
@@ -180,11 +171,11 @@ def group_structure(d: int) -> ClassGroupSummary:
         h=h,
         cyclic_orders=factors or [1],
         has_order_4_element=any(k % 4 == 0 for k in factors),
-        forms=[[f.a, f.b, f.c] for f in forms],
+        forms=[list(f) for f in forms],
     )
 
 
-def represented_by_class(n: int, d: int) -> set[QuadForm]:
+def represented_by_class(n: int, d: int) -> set[tuple[int, int, int]]:
     """Reduced form classes of discriminant d that represent the prime n.
 
     One class (and its inverse) per square root of d mod 4n; empty when d is
@@ -200,5 +191,5 @@ def represented_by_class(n: int, d: int) -> set[QuadForm]:
     for root in {r, n - r}:
         b = root if (root - d) % 2 == 0 else root + n  # match parity of d
         c = (b * b - d) // (4 * n)
-        classes.add(reduce(QuadForm(n, b, c)))
+        classes.add(reduce((n, b, c)))
     return classes

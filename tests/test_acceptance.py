@@ -11,7 +11,6 @@ import time
 
 from gmforms.arith import primes_up_to
 from gmforms.classgroup import (
-    QuadForm,
     compose,
     enumerate_reduced,
     group_structure,

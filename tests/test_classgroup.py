@@ -5,7 +5,6 @@ import pytest
 
 from gmforms.arith import primes_up_to
 from gmforms.classgroup import (
-    QuadForm,
     compose,
     enumerate_reduced,
     form_pow,
@@ -42,71 +41,71 @@ def random_valid_form(rng):
         a = rng.randrange(1, 60)
         b = rng.randrange(-120, 121)
         c = rng.randrange(1, 120)
-        f = QuadForm(a, b, c)
-        if f.discriminant() >= 0 or f.discriminant() < -10**5:
+        if not -10**5 <= b * b - 4 * a * c < 0:
             continue
         if math.gcd(math.gcd(a, b), c) != 1:
             continue
-        return f
+        return a, b, c
 
 
 def random_sl2_image(f, rng):
     # f taken through a random word in T^k: (x, y) -> (x + k*y, y) and
     # S: (x, y) -> (-y, x), both in SL2(Z), so the class is unchanged.
-    a, b, c = f.a, f.b, f.c
+    a, b, c = f
     for _ in range(rng.randrange(1, 6)):
         k = rng.randrange(-5, 6)
         a, b, c = a, b + 2 * k * a, a * k * k + b * k + c
         if rng.random() < 0.5:
             a, b, c = c, -b, a
-    return QuadForm(a, b, c)
+    return a, b, c
 
 
 def represents(f, n):
     # Exhaustive search: 4*a*n = (2*a*x + b*y)^2 + |D|*y^2 bounds |y|.
-    d = -f.discriminant()
-    y_max = math.isqrt(4 * f.a * n // d)
+    a, b, c = f
+    d = 4 * a * c - b * b
+    y_max = math.isqrt(4 * a * n // d)
     for y in range(-y_max, y_max + 1):
-        t = 4 * f.a * n - d * y * y
+        t = 4 * a * n - d * y * y
         r = math.isqrt(t)
-        if r * r == t and any((s - f.b * y) % (2 * f.a) == 0 for s in (r, -r)):
+        if r * r == t and any((s - b * y) % (2 * a) == 0 for s in (r, -r)):
             return True
     return False
 
 
 class TestReduce:
     def test_examples(self):
-        assert reduce(QuadForm(1, 0, 14)) == QuadForm(1, 0, 14)
-        assert reduce(QuadForm(14, 0, 1)) == QuadForm(1, 0, 14)
-        assert reduce(QuadForm(3, 2, 5)) == QuadForm(3, 2, 5)
+        assert reduce((1, 0, 14)) == (1, 0, 14)
+        assert reduce((14, 0, 1)) == (1, 0, 14)
+        assert reduce((3, 2, 5)) == (3, 2, 5)
 
     def test_invalid_forms(self):
         with pytest.raises(ValueError):
-            reduce(QuadForm(2, 0, 2))  # imprimitive
+            reduce((2, 0, 2))  # imprimitive
         with pytest.raises(ValueError):
-            reduce(QuadForm(1, 5, 1))  # positive discriminant
+            reduce((1, 5, 1))  # positive discriminant
         with pytest.raises(ValueError):
-            reduce(QuadForm(-1, 0, -14))
+            reduce((-1, 0, -14))
 
     def test_idempotent_and_discriminant_preserving(self):
         rng = random.Random(8)
         for _ in range(10**4):
             f = random_valid_form(rng)
-            r = reduce(f)
-            assert r.is_reduced()
-            assert reduce(r) == r
-            assert r.discriminant() == f.discriminant()
+            (a, b, c), (ra, rb, rc) = f, reduce(f)
+            assert abs(rb) <= ra <= rc and not (rb < 0 and (ra == -rb or ra == rc))
+            assert reduce((ra, rb, rc)) == (ra, rb, rc)
+            assert rb * rb - 4 * ra * rc == b * b - 4 * a * c
 
 
 class TestEnumerate:
     def test_examples(self):
-        assert enumerate_reduced(-28) == [QuadForm(1, 0, 7)]
-        assert enumerate_reduced(-8) == [QuadForm(1, 0, 2)]
+        assert enumerate_reduced(-28) == [(1, 0, 7)]
+        assert enumerate_reduced(-8) == [(1, 0, 2)]
         assert set(enumerate_reduced(-56)) == {
-            QuadForm(1, 0, 14), QuadForm(2, 0, 7),
-            QuadForm(3, 2, 5), QuadForm(3, -2, 5),
+            (1, 0, 14), (2, 0, 7),
+            (3, 2, 5), (3, -2, 5),
         }
-        assert enumerate_reduced(-7) == [QuadForm(1, 1, 2)]
+        assert enumerate_reduced(-7) == [(1, 1, 2)]
 
     def test_invalid_discriminant(self):
         for bad in (-6, -9, 0, 5):
@@ -118,7 +117,7 @@ class TestEnumerate:
             if d % 4 not in (0, 1):
                 continue
             forms = enumerate_reduced(d)
-            assert {(f.a, f.b, f.c) for f in forms} == reduced_forms_oracle(d), d
+            assert set(forms) == reduced_forms_oracle(d), d
             assert forms == sorted(forms)
 
 
@@ -130,14 +129,14 @@ class TestCompose:
                 assert compose(e, g) == reduce(g)
 
     def test_inverse_pair(self):
-        assert compose(QuadForm(3, 2, 5), QuadForm(3, -2, 5)) == QuadForm(1, 0, 14)
+        assert compose((3, 2, 5), (3, -2, 5)) == (1, 0, 14)
 
     def test_square_of_order_four_element(self):
-        assert compose(QuadForm(3, 2, 5), QuadForm(3, 2, 5)) == QuadForm(2, 0, 7)
+        assert compose((3, 2, 5), (3, 2, 5)) == (2, 0, 7)
 
     def test_mismatched_discriminants(self):
         with pytest.raises(ValueError):
-            compose(QuadForm(1, 0, 14), QuadForm(1, 0, 7))
+            compose((1, 0, 14), (1, 0, 7))
 
     @pytest.mark.parametrize("d", [-56, -28, -84, -120, -924])
     def test_cayley_table(self, d):
@@ -159,11 +158,11 @@ class TestCompose:
     @pytest.mark.parametrize("d", [-56, -84, -420, -924, -1056])
     def test_composite_represents_product_of_first_coefficients(self, d):
         # Fixes the law itself, not only up to isomorphism: f represents
-        # f.a and g represents g.a, so their composite represents f.a*g.a.
+        # f[0] and g represents g[0], so their composite represents f[0]*g[0].
         forms = enumerate_reduced(d)
         for f in forms:
             for g in forms:
-                assert represents(compose(f, g), f.a * g.a), (f, g)
+                assert represents(compose(f, g), f[0] * g[0]), (f, g)
 
     @pytest.mark.parametrize("d", [-56, -84, -420, -924, -1056, -8424])
     def test_non_reduced_inputs(self, d):
@@ -178,6 +177,26 @@ class TestCompose:
             ff = random_sl2_image(f, rng)
             assert inverse(ff) == inverse(f)
             assert form_pow(ff, 5) == form_pow(f, 5)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            form_pow((3, 2, 5), -1)
+
+
+class TestTupleSurface:
+    def test_forms_are_int_triples(self):
+        f = (3, 2, 5)
+        for g in (reduce((14, 0, 1)), compose(f, f), inverse(f), form_pow(f, 3),
+                  principal_form(-56), *enumerate_reduced(-56),
+                  *represented_by_class(113, -56)):
+            assert type(g) is tuple and len(g) == 3, g
+            assert all(type(x) is int for x in g), g
+
+    def test_summary_lists_the_enumerated_forms(self):
+        # h and the factors recorded for d = 4015 in perfbench/expected.json.
+        s = group_structure(-8 * 4015)
+        assert (s.h, s.cyclic_orders) == (80, [20, 2, 2])
+        assert s.forms == [list(f) for f in enumerate_reduced(-8 * 4015)]
 
 
 class TestGroupStructure:
@@ -230,11 +249,11 @@ class TestGroupStructure:
 
 class TestRepresentedByClass:
     def test_examples(self):
-        assert represented_by_class(113, -28) == {QuadForm(1, 0, 7)}
+        assert represented_by_class(113, -28) == {(1, 0, 7)}
         classes_56 = represented_by_class(113, -56)
-        assert classes_56 and QuadForm(1, 0, 14) not in classes_56
+        assert classes_56 and (1, 0, 14) not in classes_56
         classes_3 = represented_by_class(3, -56)
-        assert classes_3 and QuadForm(1, 0, 14) not in classes_3
+        assert classes_3 and (1, 0, 14) not in classes_3
 
     def test_ramified_rejected(self):
         with pytest.raises(ValueError):

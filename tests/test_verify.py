@@ -8,6 +8,7 @@ import pytest
 
 from gmforms import arith, gm, verify
 from gmforms.arith import lucas_lehmer, primes_up_to
+from gmforms.classgroup import enumerate_reduced, form_pow, represented_by_class
 from gmforms.represent import cornacchia
 from gmforms.report import to_dict
 from gmforms.verify import (
@@ -364,6 +365,21 @@ class TestRunSuite:
             assert r.g_value % 32 == 1 and r.d % 8 == 7
             assert r.x_mod8 in (1, 7) and r.y_mod8 in (0, 4), (r.p, r.d)
             assert (r.verdict == VERDICT_REFUTED) == (r.y_mod8 == 4), (r.p, r.d)
+
+    def test_fourth_power_class_iff_8_divides_y(self, suite_2000_eight_d):
+        # The paper's step (i): G_p splits completely in the cyclic quartic
+        # unramified extension of Q(sqrt(-2d)), read here as: a class of
+        # Cl(-8d) that represents G_p is a fourth power.  Step (ii) turns
+        # that into 8 | y, and on these records the two agree.
+        records, _ = suite_2000_eight_d
+        met = [r for r in records
+               if r.hypothesis_flags.all_pass() and r.representation is not None]
+        assert len(met) == 24 and sum(r.y_mod8 == 0 for r in met) == 13
+        fourth_powers = {d: {form_pow(f, 4) for f in enumerate_reduced(-8 * d)}
+                         for d in {r.d for r in met}}
+        for r in met:
+            in_fourth = bool(represented_by_class(r.g_value, -8 * r.d) & fourth_powers[r.d])
+            assert in_fourth == (r.y_mod8 == 0), (r.p, r.d)
 
     def test_records_pinned(self):
         # SHA-256 of the records' sorted-key JSON, recorded while the roots
