@@ -1,7 +1,11 @@
 """Arbitrary-precision number-theoretic kernel.
 
 Everything here is exact integer arithmetic on Python ints; all functions are
-pure and thread-safe.
+pure and thread-safe.  Every primality verdict is a proof: proth_test for
+Gaussian Mersenne norms G_p, lucas_lehmer for Mersenne numbers M_p, and for
+any other n below psi_13 = 3317044064679887385961981 is_probable_prime,
+trial division then Miller-Rabin on the first 13 prime bases, which raises
+ValueError at or above psi_13.
 """
 
 from __future__ import annotations
@@ -90,14 +94,14 @@ def _squarings(x: int, j: int, n: int) -> int:
     return x
 
 
-def _lucas_v(c: int, m: int, n: int) -> tuple[int, int]:
-    """(V_m, V_{j+1}) of V(c, 1) for m >= 1 with odd part j and |c| < n, up
-    to multiples of n; for odd m that is (V_m, V_{m+1}).
+def _lucas_v(c: int, m: int, n: int) -> int:
+    """V_m of V(c, 1) for m >= 1 and |c| < n, up to a multiple of n.
 
-    V_0 = 2, V_1 = c, V_{j+1} = c*V_j - V_{j-1}.  A ladder over j keeps
-    (V_i, V_{i+1}) by V_2i = V_i^2 - 2 and V_{2i+1} = V_i*V_{i+1} - c, one
-    square and one product per bit; then V <- V^2 - 2 once per factor 2 of
-    m.  Products reduce by _fold_mod(n) when n has its shape.
+    V_0 = 2, V_1 = c, V_{i+1} = c*V_i - V_{i-1}.  A ladder over the odd
+    part of m keeps (V_i, V_{i+1}) by V_2i = V_i^2 - 2 and V_{2i+1} =
+    V_i*V_{i+1} - c, one square and one product per bit; then V <- V^2 - 2
+    once per factor 2 of m.  Products reduce by _fold_mod(n) when n has its
+    shape.
     """
     fold = _fold_mod(n) or (lambda x: x % n)
     z = (m & -m).bit_length() - 1
@@ -109,7 +113,7 @@ def _lucas_v(c: int, m: int, n: int) -> tuple[int, int]:
             v, w = fold(v * v - 2), fold(v * w - c)
     for _ in range(z):
         v = fold(v * v - 2)
-    return v, w
+    return v
 
 
 def jacobi(a: int, n: int) -> int:
@@ -175,7 +179,7 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
         t = 1
         while jacobi(a * t * t - 4, p) != -1:
             t += 1
-        v, _ = _lucas_v((a * t * t - 2) % p, (p - 1) >> 2, p)
+        v = _lucas_v((a * t * t - 2) % p, (p - 1) >> 2, p)
         try:
             r = v * pow(t, -1, p) % p
         except ValueError:
@@ -185,79 +189,24 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     return min(r, p - r)
 
 
-def _strong_probable_prime(n: int) -> bool:
-    # Strong base-2 test; n odd, n > 2.
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(2, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _selfridge_d(n: int) -> Optional[int]:
-    # First D in 5, -7, 9, -11, ... with (D/n) = -1; None signals composite.
-    d = 5
-    while True:
-        j = jacobi(d, n)
-        if j == -1:
-            return d
-        if j == 0 and abs(d) != n:
-            return None
-        d = -d - 2 if d > 0 else -d + 2
-        if abs(d) > 1000:
-            # Unreachable for non-squares; squares are screened by the caller.
-            raise ArithmeticError(f"no Lucas discriminant found for {n}")
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's (P, Q) = (1, (1 - D)/4), run on V(c, 1).
-
-    With n + 1 = k*2^s, k odd, n passes iff U_k = 0 or V_{k*2^r} = 0 (mod n)
-    for some 0 <= r < s.  For alpha, alpha' the roots of X^2 - X + Q and
-    gcd(n, 2QD) = 1, that is beta^k = +-1 or beta^(k*2^r) = -1 for r >= 1,
-    where beta = alpha/alpha' is a root of X^2 - cX + 1 with c = 1/Q - 2, so
-    V_2i(1, Q) = Q^i * V_i(c, 1).  beta^k = +-1 iff V_k(c, 1) = +-2 and
-    2*V_{k+1} = c*V_k, as 2*V_{k+1} - c*V_k = (c^2 - 4)*U_k(c, 1) and
-    c^2 - 4 = D/Q^2 is a unit; beta^(k*2^r) = -1 iff V_{k*2^(r-1)}(c, 1) = 0.
-    _selfridge_d gives gcd(n, D) = 1, and gcd(n, Q) = 1 as well: an odd
-    prime p dividing n and Q is below |D|, so D' = +-p (or 9 for p = 3) came
-    first with (D'/n) = 0, and p = n would make (D/n) = (1/n) = 1.
-    """
-    if math.isqrt(n) ** 2 == n:
-        return False
-    d = _selfridge_d(n)
-    if d is None:
-        return False
-    c = (pow((1 - d) // 4, -1, n) - 2) % n
-    s = ((n + 1) & -(n + 1)).bit_length() - 1
-    v, w = _lucas_v(c, (n + 1) >> s, n)
-    if v % n in (2, n - 2) and (2 * w - c * v) % n == 0:
-        return True
-    fold = _fold_mod(n) or (lambda x: x % n)
-    for _ in range(s - 1):
-        if v % n == 0:
-            return True
-        v = fold(v * v - 2)
-    return False
+#: The first 13 prime bases, and psi_13, the least odd composite that is a
+#: strong probable prime to all of them (Sorenson and Webster, "Strong
+#: pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality test for arbitrary n (Baillie-PSW): trial division by the
-    primes below 1000, then a strong base-2 test and a strong Lucas test.
+    """Exact primality for n < psi_13 = 3317044064679887385961981.
 
-    Exact below 2^64: no composite there passes both tests, as the
-    Feitsma-Galway table of all base-2 pseudoprimes below 2^64, each run
-    through the strong Lucas test, shows.  Above, no composite is known to
-    pass both (Baillie and Wagstaff, Math. Comp. 35, 1980), but none is
-    ruled out.  The structured families have proofs instead: proth_test for
-    Gaussian Mersenne norms, lucas_lehmer for Mersenne numbers.
+    Trial division by the primes below 1000 decides every n < 998^2 and any
+    n with a factor below 1000; past it, n is prime iff it is a strong
+    probable prime to each of the first 13 prime bases, 2 to 41
+    (deterministic Miller-Rabin), as no composite below psi_13 passes all 13
+    (Sorenson and Webster, 2017).  Any other n >= psi_13 raises ValueError:
+    psi_13 itself passes every base.  The audited families have their own
+    proofs: proth_test for Gaussian Mersenne norms, lucas_lehmer for
+    Mersenne numbers.
     """
     if n < 2:
         return False
@@ -268,7 +217,22 @@ def is_probable_prime(n: int) -> bool:
             return False
     if n < (_SMALL_PRIMES[-1] + 1) ** 2:
         return True
-    return _strong_probable_prime(n) and _strong_lucas_probable_prime(n)
+    if n >= _PSI_13:
+        raise ValueError(f"{n} is not below psi_13 = {_PSI_13}, "
+                         "the bound of the exact primality test")
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def proth_test(n: int) -> bool:
@@ -314,4 +278,4 @@ def lucas_lehmer(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
     m = (1 << p) - 1
-    return _lucas_v(4, 1 << (p - 2), m)[0] % m == 0
+    return _lucas_v(4, 1 << (p - 2), m) % m == 0

@@ -21,7 +21,7 @@ from typing import Any, Optional
 from .arith import NotPrimeError
 from .classgroup import group_structure
 from .gm import gm_norm, predict_congruences, scan_exponents
-from .represent import solve
+from .represent import BRUTEFORCE_CAP, solve
 from .verify import check_d, run_suite
 from . import report
 
@@ -89,7 +89,14 @@ def cmd_scan(args: argparse.Namespace) -> Outcome:
 
 def cmd_represent(args: argparse.Namespace) -> Outcome:
     norm = gm_norm(args.p)
-    rep = solve(norm.value, args.d, norm.is_prime)
+    # A composite G_p above the brute-force cap is left unsolved, a negative
+    # like any other; a bad d still goes to solve, which rejects it.
+    if norm.is_prime or norm.value <= BRUTEFORCE_CAP or args.d < 1:
+        rep = solve(norm.value, args.d, norm.is_prime)
+    else:
+        rep = None
+        _note(f"gmforms: G_{args.p} is composite and above the brute-force cap "
+              f"{BRUTEFORCE_CAP}: no representation searched")
     record: dict[str, Any] = {
         "p": args.p,
         "d": args.d,

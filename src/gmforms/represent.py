@@ -36,7 +36,7 @@ def cornacchia(n: int, d: int) -> Optional[Representation]:
 
     Euclidean descent seeded by a square root of -d mod n; returns None when
     -d is a non-residue or the descent yields no exact solution.  n must be
-    a (probable) prime: the descent's completeness argument is prime-specific.
+    prime: the descent's completeness argument is prime-specific.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

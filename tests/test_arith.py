@@ -4,14 +4,13 @@ import random
 
 import pytest
 
+from bpsw import baillie_psw, strong_lucas_probable_prime, strong_probable_prime
 from gmforms import arith
 from gmforms.arith import (
     NotPrimeError,
     _fold_mod,
     _lucas_v,
     _squarings,
-    _strong_lucas_probable_prime,
-    _strong_probable_prime,
     is_probable_prime,
     jacobi,
     lucas_lehmer,
@@ -287,8 +286,7 @@ class TestLucasV:
             prev, v = 2, c % n  # V_0, V_1
             for m in range(1, 301):
                 after = (c * v - prev) % n
-                v_m, w = _lucas_v(c, m, n)
-                assert v_m % n == v and (m % 2 == 0 or w % n == after), (c, m)
+                assert _lucas_v(c, m, n) % n == v, (c, m)
                 prev, v = v, after
 
 
@@ -460,12 +458,35 @@ class TestIsProbablePrime:
             assert primes_up_to(limit) == primes, limit
 
     def test_large_values(self):
+        # Past psi_13 the library has no exact test; the oracle takes these.
         g_113 = 10384593717069655112945804582584321
-        assert is_probable_prime(g_113)
+        assert baillie_psw(g_113)
+        assert not baillie_psw(g_113 * 113)
+        assert not baillie_psw((1 << 128) - 1)
+        with pytest.raises(ValueError, match="psi_13"):
+            is_probable_prime(g_113)
+        # Trial division still decides an n with a factor below 1000.
         assert not is_probable_prime(g_113 * 113)
         assert not is_probable_prime((1 << 128) - 1)
         # Perfect squares above 2^64 exercise the Lucas pre-screen.
-        assert not is_probable_prime(((1 << 40) + 15) ** 2)
+        square = ((1 << 40) + 15) ** 2
+        assert not baillie_psw(square) and not is_probable_prime(square)
+
+    def test_refused_from_psi_13(self):
+        # psi_13 = q * (2q - 1) is a strong probable prime to all 13 bases,
+        # so the bound is strict: it raises and never returns True.
+        q = 1287836182261
+        psi_13 = q * (2 * q - 1)
+        assert psi_13 == 3317044064679887385961981
+        small = primes_up_to(1000)
+        past = next(n for n in range(psi_13 + 2, psi_13 + 10**4, 2)
+                    if all(n % r for r in small))
+        for n in (psi_13, past):
+            with pytest.raises(ValueError, match=f"^{n} is not below psi_13 = {psi_13},"):
+                is_probable_prime(n)
+        below = psi_13 - 168  # the largest prime below psi_13
+        assert is_probable_prime(below) and baillie_psw(below)
+        assert not is_probable_prime(below + 2)
 
     def test_between_trial_division_and_2_64(self):
         assert is_probable_prime((1 << 61) - 1)
@@ -481,8 +502,8 @@ class TestIsProbablePrime:
                      if all(n % q for q in primes_up_to(1000))]
         assert len(survivors) == 12
         for n in survivors:
-            assert _strong_probable_prime(n), n
-            assert not _strong_lucas_probable_prime(n), n
+            assert strong_probable_prime(n), n
+            assert not strong_lucas_probable_prime(n), n
 
     def test_strong_lucas_rejects_composite_gaussian_mersenne_norms(self):
         # Every G_p passes the base-2 half: with G_p - 1 = 2^m * k, k odd,
@@ -492,8 +513,8 @@ class TestIsProbablePrime:
         assert len(composite) == 57
         for p in composite:
             g = (1 << p) - jacobi(2, p) * (1 << (p + 1) // 2) + 1
-            assert _strong_probable_prime(g), p
-            assert not _strong_lucas_probable_prime(g), p
+            assert strong_probable_prime(g), p
+            assert not strong_lucas_probable_prime(g), p
 
 
 #: OEIS A217255, the strong Lucas pseudoprimes (Selfridge's parameters)
@@ -507,7 +528,7 @@ class TestStrongLucas:
     def test_verdicts_below_2e5(self):
         # Every odd n: the primes pass, and of the composites exactly A217255.
         primes = set(primes_up_to(2 * 10**5)) - {2}
-        passed = {n for n in range(1, 2 * 10**5, 2) if _strong_lucas_probable_prime(n)}
+        passed = {n for n in range(1, 2 * 10**5, 2) if strong_lucas_probable_prime(n)}
         assert primes <= passed
         assert sorted(passed - primes) == list(A217255)
 
@@ -573,4 +594,4 @@ class TestLucasLehmer:
 
     def test_agrees_with_bpsw_oracle(self):
         for p in primes_up_to(1300)[1:]:
-            assert lucas_lehmer(p) == is_probable_prime((1 << p) - 1), p
+            assert lucas_lehmer(p) == baillie_psw((1 << p) - 1), p

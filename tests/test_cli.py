@@ -93,14 +93,28 @@ class TestRepresent:
         # G_13 = 53 * 157 goes to the brute-force solver, which checks d too.
         code, _, err = run_cli(capsys, "represent", "--p", "13", "--d", "-1")
         assert code == 2 and err == "gmforms: error: need n >= 1 and d >= 1\n"
+        # G_41 is composite and above the brute-force cap; d is still checked.
+        code, _, err = run_cli(capsys, "represent", "--p", "41", "--d", "0")
+        assert code == 2 and err == "gmforms: error: need n >= 1 and d >= 1\n"
 
     def test_p_above_cap_exits_2_fast(self, capsys):
         assert_refused_fast(capsys, "represent", "--p", "100003", "--d", "7")
 
-    def test_composite_above_bruteforce_cap_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "represent", "--p", "101", "--d", "7")
-        assert (code, out) == (2, "")
-        assert err == "gmforms: error: n exceeds brute-force cap 1000000000000\n"
+    def test_composite_above_bruteforce_cap_exits_1(self, capsys, monkeypatch):
+        # Every composite G_p with p >= 41 exceeds 10^12: the record says
+        # composite, with no representation, and the solver is not run.
+        solved = []
+        monkeypatch.setattr(cli, "solve", lambda *a: solved.append(a))
+        for p in ("41", "101"):
+            code, out, err = run_cli(capsys, "represent", "--p", p, "--d", "7")
+            envelope = json.loads(out)
+            record = envelope["records"][0]
+            assert code == 1 and envelope["summary"] == {"solved": 0}
+            assert record["primality"] == "composite"
+            assert record["representation"] is record["x_mod8"] is record["y_mod8"] is None
+            assert err == (f"gmforms: G_{p} is composite and above the brute-force "
+                           "cap 1000000000000: no representation searched\n")
+        assert solved == []
 
 
 class TestInternalErrors:
@@ -112,17 +126,6 @@ class TestInternalErrors:
         code, out, err = run_cli(capsys, "represent", "--p", "17", "--d", "7")
         assert code == 4 and out == ""
         assert "internal error" in err and "130561 is not prime" in err
-
-    def test_no_lucas_discriminant_exits_4(self, capsys, monkeypatch):
-        # With every Jacobi symbol 1, the Selfridge search for the strong
-        # Lucas test of 2^89 - 1 runs out of candidates.  The exponent is
-        # checked (in predict_congruences) before G_p is built, so the cap
-        # is raised to reach that check and no G_p of that size is made.
-        monkeypatch.setattr(arith, "jacobi", lambda a, n: 1)
-        p = str(2**89 - 1)
-        code, _, err = run_cli(capsys, "--max-exponent", p, "congruences", "--p", p)
-        assert code == 4
-        assert "internal error" in err and "no Lucas discriminant" in err
 
     def test_class_group_invariant_exits_4(self, capsys, stuck_compose):
         code, out, err = run_cli(capsys, "classgroup", "-56")
@@ -261,6 +264,21 @@ class TestCongruences:
 
     def test_nonprime_p_above_cap_reports_cap(self, capsys):
         assert_refused_fast(capsys, "congruences", "--p", "100000")
+
+    def test_p_at_psi_13_exits_2_fast(self, capsys, monkeypatch):
+        # psi_13 passes Miller-Rabin on all 13 bases, so the exponent check
+        # refuses it, a usage error, before G_p is built.
+        def unbuilt(p):
+            raise AssertionError(f"G_{p} built")
+
+        monkeypatch.setattr(gm, "_closed_form", unbuilt)
+        p = "3317044064679887385961981"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--max-exponent", p, "congruences", "--p", p)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"gmforms: error: {p} is not below psi_13 = {p}, "
+                       "the bound of the exact primality test\n")
 
 
 @pytest.mark.parametrize("argv,checks", [

@@ -1,7 +1,8 @@
 
 import pytest
 
-from gmforms.arith import is_probable_prime, primes_up_to
+from bpsw import baillie_psw
+from gmforms.arith import primes_up_to
 from gmforms.gm import (
     _closed_form,
     gm_norm,
@@ -53,7 +54,7 @@ class TestGmNorm:
     def test_primality_matches_bpsw_oracle(self):
         for p in primes_up_to(1200)[1:]:
             norm = gm_norm(p)
-            assert (norm.primality != "composite") == is_probable_prime(norm.value), p
+            assert (norm.primality != "composite") == baillie_psw(norm.value), p
 
     def test_prime_factors_are_one_mod_4p(self):
         # The premise of the 4kp + 1 sieve in gm_norm.
@@ -114,6 +115,15 @@ class TestCongruences:
         assert table[8] == (1, 1, True) and table[16] == (1, 1, True)
         assert table[32] == (None, 17, False)  # G_7 = 113
         assert predict_congruences(3)[8] == (None, 5, False)  # G_3 = 13
+
+    def test_exponents_past_trial_division(self):
+        # Both exceed 998^2, so Miller-Rabin decides p: 1000003 is prime and
+        # 1022117 = 1009 * 1013.
+        table = predict_congruences(1000003)
+        assert list(table) == [8, 16, 32, 7]
+        assert table[8] == (1, 1, True)
+        with pytest.raises(ValueError, match="^p must be an odd prime, got 1022117$"):
+            predict_congruences(1022117)
 
     def test_applicable_predictions_hold(self):
         for p in ODD_PRIMES_601:

@@ -37,9 +37,13 @@ COMMANDS = (
     "classgroup -79928",
     # The benchmark's audit workload.
     "verify --pmax 1200 --d 7,31,55,79,103,127 --generalized",
-    # Usage errors: a bad discriminant and an exponent over the cap.
+    # A composite G_p above the brute-force cap: no representation, exit 1.
+    "represent --p 41 --d 7",
+    # Usage errors: a bad discriminant, an exponent over the cap, and an
+    # exponent at psi_13, past the exact primality test.
     "classgroup -6",
     "scan --pmax 2001",
+    "--max-exponent 3317044064679887385961981 congruences --p 3317044064679887385961981",
 )
 
 GENERATED_AT = re.compile(r'"generated_at": "[^"]*"')
