@@ -21,7 +21,7 @@ from typing import Any, Optional
 from .arith import NotPrimeError
 from .classgroup import group_structure
 from .gm import gm_norm, predict_congruences, scan_exponents
-from .represent import BRUTEFORCE_CAP, solve
+from .represent import BRUTEFORCE_CAP, cornacchia, represent_bruteforce
 from .verify import check_d, run_suite
 from . import report
 
@@ -89,10 +89,13 @@ def cmd_scan(args: argparse.Namespace) -> Outcome:
 
 def cmd_represent(args: argparse.Namespace) -> Outcome:
     norm = gm_norm(args.p)
-    # A composite G_p above the brute-force cap is left unsolved, a negative
-    # like any other; a bad d still goes to solve, which rejects it.
-    if norm.is_prime or norm.value <= BRUTEFORCE_CAP or args.d < 1:
-        rep = solve(norm.value, args.d, norm.is_prime)
+    # The one place that picks a solver: Cornacchia on gm_norm's proof, else
+    # the brute-force oracle up to its cap, or for a bad d, which it rejects.
+    # A composite G_p above the cap is left unsolved, a negative like any other.
+    if norm.is_prime:
+        rep = cornacchia(norm.value, args.d)
+    elif norm.value <= BRUTEFORCE_CAP or args.d < 1:
+        rep = represent_bruteforce(norm.value, args.d)
     else:
         rep = None
         _note(f"gmforms: G_{args.p} is composite and above the brute-force cap "

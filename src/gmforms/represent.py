@@ -1,8 +1,8 @@
 """Solving n = x^2 + d*y^2 with positive x, y.
 
-Cornacchia descent for prime n, plus an exhaustive brute-force oracle for
-small n; solve picks between them.  Representations require x > 0 AND y > 0;
-solutions touching zero are rejected.
+Cornacchia descent for an odd prime n, plus an exhaustive brute-force oracle
+for small n.  Representations require x > 0 AND y > 0; solutions touching
+zero are rejected.
 """
 
 from __future__ import annotations
@@ -32,16 +32,19 @@ class Representation:
 
 
 def cornacchia(n: int, d: int) -> Optional[Representation]:
-    """Solve n = x^2 + d*y^2 for an odd prime n and 1 <= d < n.
+    """Solve n = x^2 + d*y^2 for an odd prime n and d >= 1.
 
     Euclidean descent seeded by a square root of -d mod n; returns None when
-    -d is a non-residue or the descent yields no exact solution.  n must be
-    prime: the descent's completeness argument is prime-specific.
+    n <= d (x, y >= 1 force n >= 1 + d), -d is a non-residue, or the descent
+    yields no exact solution.  n must be prime: the descent's completeness
+    argument is prime-specific.  An even n or d < 1 raises ValueError.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if n % 2 == 0 or n <= d:
-        raise ValueError("need odd n > d")
+    if n % 2 == 0:
+        raise ValueError("need odd n")
+    if n <= d:
+        return None
     # Never 0: 1 <= d < n keeps -d nonzero mod n, and only 0 has root 0.
     r0 = sqrt_mod_prime((-d) % n, n)
     if r0 is None:
@@ -83,14 +86,3 @@ def represent_bruteforce(n: int, d: int) -> Optional[Representation]:
         y += 1
     return None
 
-
-def solve(n: int, d: int, prime: bool) -> Optional[Representation]:
-    """Solve n = x^2 + d*y^2, given whether n is prime.
-
-    An odd prime n > d goes through Cornacchia; any other n through the
-    brute-force oracle, which raises ValueError above BRUTEFORCE_CAP.
-    Callers holding a primality proof pass it, so it is not re-decided.
-    """
-    if prime and n > d and n % 2 == 1:
-        return cornacchia(n, d)
-    return represent_bruteforce(n, d)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, TypeVar
 from .arith import NotPrimeError, is_probable_prime, jacobi, lucas_lehmer
 from .classgroup import group_structure
 from .gm import GmNorm, gm_norm, scan_exponents
-from .represent import Representation, cornacchia, solve
+from .represent import Representation, cornacchia
 
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_HYPOTHESIS_NOT_MET = "hypothesis-not-met"
@@ -100,9 +100,7 @@ def _audit(norm: GmNorm, d: int, d_facts: tuple[bool, bool]) -> VerificationReco
         legendre_minus_d_gp=jacobi(-d, g_value) == 1,
         class_group_order4=order4,
     )
-    rep = None
-    if flags.gp_probable_prime and g_value > d:
-        rep = cornacchia(g_value, d)
+    rep = cornacchia(g_value, d) if flags.gp_probable_prime else None
     x_mod8 = rep.x % 8 if rep else None
     y_mod8 = rep.y % 8 if rep else None
     artin = artin_class_d7(rep.x, rep.y) == "trivial" if rep and d == 7 else None
@@ -151,20 +149,23 @@ def audit_generalized(p: int, d: int) -> VerificationRecord:
     return _audit(gm_norm(p), d, _d_facts(d))
 
 
-def audit_d_2d(p: int, d: int) -> tuple[bool, bool]:
+def audit_d_2d(p: int, d: int) -> Optional[tuple[bool, bool]]:
     """Whether G_p is represented by (x^2 + d*y^2, x^2 + 2d*y^2).
 
     Reported as observational data; the equivalence is conditional on a
     field-equality hypothesis this artifact cannot decide.  Both forms are
-    solved on gm_norm's primality proof, not a fresh probable-prime test.
+    solved by Cornacchia on gm_norm's primality proof, not a fresh
+    probable-prime test; a composite G_p gives None, unsolved.
     """
     if not _is_squarefree(d):
         raise ValueError("d must be square-free")
     norm = gm_norm(p)
     if math.gcd(norm.value, 2 * d) != 1:
         raise ValueError("ramified case gcd(G_p, 2d) > 1: not audited")
-    return (solve(norm.value, d, norm.is_prime) is not None,
-            solve(norm.value, 2 * d, norm.is_prime) is not None)
+    if not norm.is_prime:
+        return None
+    return (cornacchia(norm.value, d) is not None,
+            cornacchia(norm.value, 2 * d) is not None)
 
 
 def _overlap(proof: Callable[[], bool], work: Callable[[], _T]) -> tuple[bool, _T]:

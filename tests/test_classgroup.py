@@ -14,7 +14,7 @@ from gmforms.classgroup import (
     reduce,
     represented_by_class,
 )
-from gmforms.represent import solve
+from gmforms.represent import cornacchia
 
 
 def reduced_forms_oracle(d):
@@ -268,4 +268,4 @@ class TestRepresentedByClass:
                 if n < 3 or math.gcd(n, 8 * d) != 1:
                     continue
                 by_class = principal in represented_by_class(n, -4 * d)
-                assert by_class == (solve(n, d, True) is not None), (n, d)
+                assert by_class == (cornacchia(n, d) is not None), (n, d)

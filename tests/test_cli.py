@@ -100,11 +100,44 @@ class TestRepresent:
     def test_p_above_cap_exits_2_fast(self, capsys):
         assert_refused_fast(capsys, "represent", "--p", "100003", "--d", "7")
 
+    @pytest.fixture
+    def route(self, monkeypatch):
+        """The names of the solvers that cmd_represent calls, in call order."""
+        taken = []
+        for name in ("cornacchia", "represent_bruteforce"):
+            def spy(n, d, name=name, solver=getattr(cli, name)):
+                taken.append(name)
+                return solver(n, d)
+            monkeypatch.setattr(cli, name, spy)
+        return taken
+
+    @pytest.mark.parametrize("p, d, solver, xy", [
+        ("47", "7", "cornacchia", ("5732351", "3925696")),
+        # G_3 = 13 and G_47 are prime and not above d: Cornacchia answers too.
+        ("3", "13", "cornacchia", None),
+        ("47", "1000000000000000", "cornacchia", None),
+        # G_13 = 8321 = 53 * 157 is composite and below the brute-force cap.
+        ("13", "13", "represent_bruteforce", ("38", "23")),
+        ("13", "7", "represent_bruteforce", None),
+        # G_41 is composite and above the cap: no solver runs.
+        ("41", "7", None, None),
+    ])
+    def test_one_solver_per_norm(self, capsys, route, p, d, solver, xy):
+        code, envelope = run_json(capsys, "represent", "--p", p, "--d", d)
+        rep = envelope["records"][0]["representation"]
+        assert route == ([solver] if solver else [])
+        assert envelope["summary"] == {"solved": 1 if xy else 0}
+        if xy:
+            assert code == 0 and (rep["x"], rep["y"]) == xy
+        else:
+            assert code == 1 and rep is None
+
     def test_composite_above_bruteforce_cap_exits_1(self, capsys, monkeypatch):
         # Every composite G_p with p >= 41 exceeds 10^12: the record says
-        # composite, with no representation, and the solver is not run.
+        # composite, with no representation, and neither solver is run.
         solved = []
-        monkeypatch.setattr(cli, "solve", lambda *a: solved.append(a))
+        for name in ("cornacchia", "represent_bruteforce"):
+            monkeypatch.setattr(cli, name, lambda *a: solved.append(a))
         for p in ("41", "101"):
             code, out, err = run_cli(capsys, "represent", "--p", p, "--d", "7")
             envelope = json.loads(out)

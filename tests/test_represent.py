@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from gmforms import represent
 from gmforms.arith import jacobi, primes_up_to
 from gmforms.represent import (
     BRUTEFORCE_CAP,
     Representation,
     cornacchia,
     represent_bruteforce,
-    solve,
 )
 
 G_47 = 140737471578113
@@ -33,16 +31,21 @@ class TestCornacchia:
     def test_paper_rows(self):
         assert cornacchia(113, 7) == Representation(113, 7, 1, 4)
         assert cornacchia(G_47, 7) == Representation(G_47, 7, 5732351, 3925696)
+        # d vs 2d: G_7 = 113 disagrees, G_47 agrees.
+        assert cornacchia(113, 14) is None
+        assert cornacchia(G_47, 14) is not None
 
     def test_no_solution(self):
         # 113 - 5y^2 for y in 1..4 is never a square.
         assert cornacchia(113, 5) is None
+        # x, y >= 1 force n >= 1 + d, so n <= d has no representation.
+        assert cornacchia(113, 113) is None
+        assert cornacchia(113, 127) is None
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             cornacchia(112, 7)
-        with pytest.raises(ValueError):
-            cornacchia(7, 7)
+        assert cornacchia(7, 7) is None
         with pytest.raises(ValueError):
             cornacchia(113, 0)
 
@@ -60,10 +63,23 @@ class TestBruteforce:
         assert represent_bruteforce(127, 7) == Representation(127, 7, 8, 3)
         # 7 = 0^2 + 7*1^2 has x = 0, which the positivity rule excludes.
         assert represent_bruteforce(7, 7) is None
+        assert represent_bruteforce(2, 1) == Representation(2, 1, 1, 1)
+        # Composite n: 8 = 1 + 7; 12 - 7 = 5 is no square.
+        assert represent_bruteforce(8, 7) == Representation(8, 7, 1, 1)
+        assert represent_bruteforce(12, 7) is None
+        # G_13 = 8321 = 53 * 157
+        assert represent_bruteforce(8321, 13) == Representation(8321, 13, 38, 23)
+        assert represent_bruteforce(8321, 7) is None
 
     def test_cap(self):
+        with pytest.raises(ValueError, match="brute-force cap"):
+            represent_bruteforce(BRUTEFORCE_CAP + 1, 7)  # 73 * 137 * 99990001
+
+    def test_invalid(self):
         with pytest.raises(ValueError):
-            represent_bruteforce(BRUTEFORCE_CAP + 1, 7)
+            represent_bruteforce(0, 7)
+        with pytest.raises(ValueError):
+            represent_bruteforce(113, 0)
 
     def test_smallest_y_convention(self):
         # 65 = 1 + 64 = 49 + 16: brute force must return y = 1 first.
@@ -93,8 +109,6 @@ class TestAgreement:
             if n % 2 == 0:
                 continue
             for d in SQUAREFREE_50:
-                if n <= d:
-                    continue
                 assert cornacchia(n, d) == represent_bruteforce(n, d), (n, d)
 
     def test_random_large_primes(self):
@@ -104,51 +118,3 @@ class TestAgreement:
             for d in (7, 14, 31):
                 assert cornacchia(n, d) == represent_bruteforce(n, d), (n, d)
 
-
-class TestSolve:
-    @pytest.fixture
-    def route(self, monkeypatch):
-        """The names of the solvers that solve calls, in call order."""
-        taken = []
-        for name in ("cornacchia", "represent_bruteforce"):
-            def spy(n, d, name=name, solver=getattr(represent, name)):
-                taken.append(name)
-                return solver(n, d)
-            monkeypatch.setattr(represent, name, spy)
-        return taken
-
-    def test_prime_above_d_uses_cornacchia(self, route):
-        assert solve(G_47, 7, True) == Representation(G_47, 7, 5732351, 3925696)
-        assert route == ["cornacchia"]
-
-    def test_composite_uses_bruteforce(self, route):
-        # G_13 = 8321 = 53 * 157
-        assert solve(8321, 13, False) == Representation(8321, 13, 38, 23)
-        assert solve(8321, 7, False) is None
-        assert route == ["represent_bruteforce"] * 2
-
-    def test_prime_not_above_d_uses_bruteforce(self, route):
-        assert solve(7, 7, True) is None
-        assert solve(2, 1, True) == Representation(2, 1, 1, 1)
-        assert route == ["represent_bruteforce"] * 2
-
-    def test_composite_above_cap_rejected(self):
-        with pytest.raises(ValueError, match="brute-force cap"):
-            solve(BRUTEFORCE_CAP + 1, 7, False)  # 10^12 + 1 = 73 * 137 * 99990001
-
-
-class TestRepresentable:
-    def test_examples(self):
-        assert solve(113, 7, True) is not None
-        assert solve(113, 14, True) is None
-        assert solve(G_47, 14, True) is not None
-
-    def test_composite_routes_to_bruteforce(self):
-        assert solve(8, 7, False) is not None  # 1 + 7
-        assert solve(12, 7, False) is None
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            solve(0, 7, False)
-        with pytest.raises(ValueError):
-            solve(113, 0, True)

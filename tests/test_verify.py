@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from gmforms import arith, gm, verify
+from gmforms import arith, gm, represent, verify
 from gmforms.arith import lucas_lehmer, primes_up_to
 from gmforms.classgroup import enumerate_reduced, form_pow, represented_by_class
 from gmforms.represent import cornacchia
@@ -93,6 +93,19 @@ class TestD2D:
         # G_3 = 13 divides 2d = 26.
         with pytest.raises(ValueError, match=r"ramified case gcd\(G_p, 2d\) > 1"):
             audit_d_2d(3, 13)
+
+    def test_composite_gp_unsolved(self, monkeypatch):
+        # G_13 = 53 * 157 and G_17 = 137 * 953 lie below the brute-force cap,
+        # G_41 above it: a composite G_p is reported unsolved by either solver.
+        called = []
+        for module in (represent, verify):
+            for name in ("cornacchia", "represent_bruteforce"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        lambda *a, name=name: called.append(name))
+        for p in (13, 17, 41):
+            assert audit_d_2d(p, 7) is None
+        assert called == []
 
     def test_gp_primality_not_retested(self, monkeypatch):
         # gm_norm has decided G_p; audit_d_2d must solve on that proof rather

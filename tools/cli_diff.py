@@ -37,7 +37,10 @@ COMMANDS = (
     "classgroup -79928",
     # The benchmark's audit workload.
     "verify --pmax 1200 --d 7,31,55,79,103,127 --generalized",
-    # A composite G_p above the brute-force cap: no representation, exit 1.
+    # Each branch of cmd_represent: a prime G_p equal to d, a composite G_p
+    # the brute-force solver solves, and one above its cap (exit 1).
+    "represent --p 3 --d 13",
+    "represent --p 13 --d 13",
     "represent --p 41 --d 7",
     # Usage errors: a bad discriminant, an exponent over the cap, and an
     # exponent at psi_13, past the exact primality test.
