@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Exit codes: 0 success/confirmed, 1 legitimate negative (no representation,
-or with --strict any no-representation verdict), 2 usage error (a ValueError)
-or unwritable report, 3 refuted theorem, 4 internal error (an ArithmeticError:
-a number taken to be prime failed a prime-only identity, or the arithmetic
-met a case it rules out).
+or with --strict any no-representation verdict), 2 usage error (a ValueError),
+an input too large to compute (a MemoryError or OverflowError) or unwritable
+report, 3 refuted theorem, 4 internal error (any other ArithmeticError: a
+number taken to be prime failed a prime-only identity, or the arithmetic met
+a case it rules out).
 The one global option, --max-exponent, caps --pmax and --p of every command
 that builds G_p; library calls have no cap. --out replaces only a regular
 file or a new path. Nothing is read from a file or the environment. Progress
@@ -43,7 +44,7 @@ def _write_report(envelope: dict[str, Any], emit: str, out: Optional[str]) -> No
     exit code 1 never means a lost report.
     """
     text = report.emit_json(envelope) if emit == "json" else report.emit_table(envelope)
-    if not out:
+    if out is None:
         try:
             if sys.stdout is None:
                 raise OSError("stdout is closed")
@@ -223,10 +224,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             if p is not None and p > args.max_exponent:
                 raise ValueError(f"--{option} must be <= {args.max_exponent} "
                                  f"(--max-exponent), got {p}")
+        if args.out == "":
+            raise ValueError("--out must name a file")
         parameters, records, summary, code = args.func(args)
         envelope = report.make_envelope(args.command, parameters, records, summary)
         _write_report(envelope, args.emit, args.out)
         return code
+    except (MemoryError, OverflowError) as exc:  # OverflowError is an ArithmeticError
+        _note(f"gmforms: error: too large to compute: {str(exc) or 'out of memory'}")
+        return 2
     except ArithmeticError as exc:
         _note(f"gmforms: internal error: {exc}")
         return 4

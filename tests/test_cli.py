@@ -166,6 +166,27 @@ class TestInternalErrors:
         assert err.startswith("gmforms: internal error:")
 
 
+class TestTooLargeToCompute:
+    def test_sieve_past_index_range_exits_2(self, capsys):
+        # primes_up_to's bytearray refuses a length past sys.maxsize with an
+        # OverflowError, an ArithmeticError, before it allocates anything.
+        p = "9223372036854775837"
+        code, out, err = run_cli(capsys, "--max-exponent", p, "scan", "--pmax", p)
+        assert (code, out) == (2, "")
+        assert err == ("gmforms: error: too large to compute: "
+                       "cannot fit 'int' into an index-sized integer\n")
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # Not exit 1, which means a legitimate negative, nor a traceback.
+        def exhausted(p):
+            raise MemoryError
+
+        monkeypatch.setattr(gm, "_closed_form", exhausted)
+        code, out, err = run_cli(capsys, "congruences", "--p", "47")
+        assert (code, out) == (2, "")
+        assert err == "gmforms: error: too large to compute: out of memory\n"
+
+
 class TestVerify:
     def test_clean_range_exits_0(self, capsys):
         code, envelope = run_json(capsys, "verify", "--pmax", "120", "--d", "7")
@@ -430,6 +451,13 @@ class TestConfigAndOutput:
         assert err == f"gmforms: error: cannot write report to {out_file}: disk full\n"
         assert out_file.read_text() == "old report"
         assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_empty_out_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "scan", "--pmax", "12", "--out", "")
+        assert (code, out) == (2, "")
+        assert err == "gmforms: error: --out must name a file\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("target,reason", [
         ("missing/report.json", "No such file or directory"),

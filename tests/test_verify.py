@@ -71,6 +71,20 @@ class TestGeneralized:
         # (2/55) = (2/5)(2/11) = +1 by the second supplement.
         assert record.hypothesis_flags.legendre_2_d
 
+    def test_admitted_d_has_2_as_residue(self):
+        # _audit records legendre_2_d as true without computing it: every d
+        # that check_d admits is 7 (mod 8), where (2/d) = +1.
+        admitted = []
+        for d in range(1, 10**5):
+            try:
+                verify.check_d(d)
+            except ValueError:
+                continue
+            admitted.append(d)
+        assert admitted
+        for d in admitted:
+            assert d % 8 == 7 and arith.jacobi(2, d) == 1, d
+
     def test_invalid_d(self):
         with pytest.raises(ValueError):
             audit_generalized(47, 9)  # 9 = 9 (mod 24)

@@ -6,7 +6,8 @@ Runs each command line of COMMANDS, in --emit json and in --emit table, as
 ``python -m gmforms.cli`` with PYTHONPATH set to each checkout's src/ and an
 empty temporary directory as the working directory.  The exit code, stderr
 and stdout must match byte for byte, except for the value of generated_at in
-JSON.  Prints each command that differs and exits 1 if any do, else 0.
+JSON.  A command that runs past TIMEOUT_S seconds in either checkout differs.
+Prints each command that differs and exits 1 if any do, else 0.
 Give OTHER_CHECKOUT as, for example, ``git worktree add ../parent HEAD~1``.
 """
 
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,22 +45,30 @@ COMMANDS = (
     "represent --p 13 --d 13",
     "represent --p 41 --d 7",
     # Usage errors: a bad discriminant, an exponent over the cap, an
-    # exponent at psi_13, past the exact primality test, and argparse's own
-    # error for a missing --pmax.
+    # exponent at psi_13, past the exact primality test, a sieve too long
+    # to index, and argparse's own error for a missing --pmax.
     "classgroup -6",
     "scan --pmax 2001",
     "--max-exponent 3317044064679887385961981 congruences --p 3317044064679887385961981",
+    "--max-exponent 9223372036854775837 scan --pmax 9223372036854775837",
     "verify --d 7",
 )
+
+TIMEOUT_S = 60
 
 GENERATED_AT = re.compile(r'"generated_at": "[^"]*"')
 
 
-def run(checkout: Path, args: list[str]) -> tuple[int, str, str]:
+def run(checkout: Path, args: list[str]) -> Optional[tuple[int, str, str]]:
+    """Exit code, stderr and stdout of one command line, or None on a timeout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-m", "gmforms.cli", *args], cwd=cwd,
-                              env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gmforms.cli", *args], cwd=cwd,
+                                  env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None
     return proc.returncode, proc.stderr, GENERATED_AT.sub('"generated_at": ""', proc.stdout)
 
 
@@ -71,9 +81,11 @@ def main(argv: list[str]) -> int:
     for line in COMMANDS:
         for emit in ("json", "table"):
             args = [*line.split(), "--emit", emit]
-            if run(ROOT, args) != run(other, args):
+            ours, theirs = run(ROOT, args), run(other, args)
+            if ours is None or ours != theirs:
                 differ += 1
-                print(f"differs: gmforms {' '.join(args)}")
+                note = f" (timed out after {TIMEOUT_S} s)" if None in (ours, theirs) else ""
+                print(f"differs: gmforms {' '.join(args)}{note}")
     total = 2 * len(COMMANDS)
     print(f"cli_diff: {differ} of {total} command lines differ from {other}")
     return 1 if differ else 0
