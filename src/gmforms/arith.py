@@ -27,7 +27,6 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = primes_up_to(1000)
-_SMALL_PRIME_SET = set(_SMALL_PRIMES)
 
 # Moduli shorter than this keep builtin pow and %: below it one interpreted
 # fold costs more than the long division it replaces.
@@ -81,10 +80,9 @@ def _fold_mod(n: int) -> Optional[Callable[[int], int]]:
     return fold_plus if n < 1 << k else fold_minus
 
 
-def _squarings(x: int, j: int, n: int) -> int:
+def _squarings(x: int, j: int, fold: Callable[[int], int]) -> int:
     """x^(2^j) for j >= 0 and |x| < n, up to a multiple of n, by j squares
-    reduced by _fold_mod(n); n must have its shape."""
-    fold = _fold_mod(n)
+    each reduced by fold = _fold_mod(n), which must not be None."""
     for _ in range(j):
         x = fold(x * x)
     return x
@@ -164,10 +162,11 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
         return None
     if p % 4 == 3:
         # The one folded shape = 3 (mod 4) is M_k, where (p+1)/4 = 2^(k-2).
-        if _fold_mod(p) is None:
+        fold = _fold_mod(p)
+        if fold is None:
             r = pow(a, (p + 1) // 4, p)
         else:
-            r = _squarings(a, p.bit_length() - 2, p) % p
+            r = _squarings(a, p.bit_length() - 2, fold) % p
     else:
         if math.isqrt(p) ** 2 == p:
             # Every unit has Jacobi symbol 1: the search for t would not end.
@@ -206,11 +205,9 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    if n <= _SMALL_PRIMES[-1]:
-        return n in _SMALL_PRIME_SET
     for p in _SMALL_PRIMES:
         if n % p == 0:
-            return False
+            return n == p
     if n < (_SMALL_PRIMES[-1] + 1) ** 2:
         return True
     if n >= _PSI_13:
@@ -252,12 +249,13 @@ def proth_test(n: int) -> bool:
         if j == 0:
             return n == a
         if j == -1:
-            if _fold_mod(n) is None:
+            fold = _fold_mod(n)
+            if fold is None:
                 return pow(a, (n - 1) // 2, n) == n - 1
             # The folded Proth shape is n = 2^(2m-1) - eps*2^m + 1, where
             # (n-1)/2 = 2^(2m-2) - eps*2^(m-1), and a is a unit.
-            y = _squarings(a, m - 1, n)
-            z = _squarings(y, m - 1, n)
+            y = _squarings(a, m - 1, fold)
+            z = _squarings(y, m - 1, fold)
             return (z + y if n < 1 << (2 * m - 1) else z * y + 1) % n == 0
         a += 1
 

@@ -99,7 +99,8 @@ def _audit(norm: GmNorm, d: int, order4: bool) -> VerificationRecord:
         legendre_minus_d_gp=jacobi(-d, g_value) == 1,
         class_group_order4=order4,
     )
-    rep = cornacchia(g_value, d) if flags.gp_probable_prime else None
+    solvable = flags.gp_probable_prime and flags.legendre_minus_d_gp
+    rep = cornacchia(g_value, d) if solvable else None
     x_mod8 = rep.x % 8 if rep else None
     y_mod8 = rep.y % 8 if rep else None
     artin = artin_class_d7(rep.x, rep.y) == "trivial" if rep and d == 7 else None

@@ -151,21 +151,23 @@ def exponentiations(n):
 
 
 class TestPowmod:
-    """The shift-and-add kernel behind proth_test, sqrt_mod_prime,
-    lucas_lehmer and the strong Lucas test, against builtin pow."""
+    """Modular powering by folded squaring chains, against builtin pow: the
+    shift-and-add fold behind proth_test, sqrt_mod_prime and lucas_lehmer,
+    and the _squarings chain of the first two."""
 
     @pytest.mark.parametrize("name", SPECIAL_MODULI)
     def test_special_forms_match_pow(self, name, fold_all_sizes):
         # The squaring chain, up to the k - 2 squares of the M_k root.
         n = SPECIAL_MODULI[name]
         k = n.bit_length()
-        assert _fold_mod(n) is not None
+        fold = arith._fold_mod(n)
+        assert fold is not None
         rng = random.Random(name)
         for x in (0, 1, n - 1, -(n - 1), -7, rng.randrange(n)):
             for j in (0, 1, 2, 3, 70):
-                assert _squarings(x, j, n) % n == pow(x, 1 << j, n), (x, j)
+                assert _squarings(x, j, fold) % n == pow(x, 1 << j, n), (x, j)
         x = rng.randrange(n)
-        assert _squarings(x, k - 2, n) % n == pow(x, 1 << (k - 2), n)
+        assert _squarings(x, k - 2, fold) % n == pow(x, 1 << (k - 2), n)
 
     @pytest.mark.parametrize("name", SPECIAL_MODULI)
     def test_fold_is_a_short_residue(self, name, fold_all_sizes):
@@ -216,7 +218,7 @@ class TestPowmod:
         monkeypatch.setattr(arith, "_fold_mod", counted)
         for j in (0, 1, 5, 70):
             folds.clear()
-            _squarings(-7, j, n)
+            _squarings(-7, j, arith._fold_mod(n))
             assert len(folds) == j
         # Proth on G_p: two chains of m - 1 = (p - 1)/2 squares.  The M_k root:
         # one chain of k - 2 squares.  Neither calls builtin pow.
@@ -229,10 +231,11 @@ class TestPowmod:
         folded = [m_value(k) for k in (70, 71, 139, 521)] + [
             (1 << k) - eps * (1 << (k + 1) // 2) + 1 for k in (139, 141, 521) for eps in (1, -1)]
         for n in folded:
-            assert _fold_mod(n) is not None, n
+            fold = arith._fold_mod(n)
+            assert fold is not None, n
             for x in (0, 1, n - 1, -7):
                 for j in (0, 1, 2, 12):
-                    assert _squarings(x, j, n) % n == builtins.pow(x, 1 << j, n), (x, j, n)
+                    assert _squarings(x, j, fold) % n == builtins.pow(x, 1 << j, n), (x, j, n)
             pow_calls.clear()
             exponentiations(n)
             assert pow_calls == [], n
@@ -266,6 +269,25 @@ class TestPowmod:
         bits = arith._FOLD_MIN_BITS
         assert _fold_mod(m_value(bits - 1)) is None
         assert _fold_mod(m_value(bits)) is not None
+
+    def test_one_fold_built_per_chain(self, monkeypatch):
+        # Proth's two chains and the M_k root's one each share a single fold.
+        built = []
+        fold_mod = arith._fold_mod
+
+        def counted(n):
+            built.append(n)
+            return fold_mod(n)
+
+        monkeypatch.setattr(arith, "_fold_mod", counted)
+        n = SPECIAL_MODULI["G_1367"]
+        assert proth_test(n)
+        assert built == [n]
+        built.clear()
+        m = SPECIAL_MODULI["M_607"]
+        r = sqrt_mod_prime(-7, m)
+        assert r is not None and (r * r + 7) % m == 0
+        assert built == [m]
 
 
 #: Moduli for _lucas_v, prime and composite: three with no fold at any

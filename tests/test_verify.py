@@ -357,6 +357,25 @@ class TestRunSuite:
         run_suite(120, [7, 31, 55])
         assert sorted(calls) == [p for p in primes_up_to(120) if p >= 7]
 
+    def test_descent_only_on_a_residue(self, monkeypatch):
+        # The record's own (-d/G_p) decides solvability: on a non-residue
+        # cornacchia would take the same symbol again and return None.
+        solved = []
+        original = verify.cornacchia
+
+        def counted(n, d):
+            solved.append((n, d))
+            return original(n, d)
+
+        monkeypatch.setattr(verify, "cornacchia", counted)
+        records, _ = run_suite(600, [7, 31, 55])
+        flags = [r.hypothesis_flags for r in records]
+        residues = [(r.g_value, r.d) for r, f in zip(records, flags)
+                    if f.gp_probable_prime and f.legendre_minus_d_gp]
+        assert solved == residues and len(solved) == 36
+        assert all(r.representation is None for r, f in zip(records, flags)
+                   if not f.legendre_minus_d_gp)
+
     def test_sieved_exponents_not_retested(self, monkeypatch):
         # A scan builds G_p from its sieve's p; only a public entry checks p.
         original = arith.is_probable_prime

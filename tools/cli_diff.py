@@ -46,12 +46,15 @@ COMMANDS = (
     "represent --p 41 --d 7",
     # Usage errors: a bad discriminant, an exponent over the cap, an
     # exponent at psi_13, past the exact primality test, a sieve too long
-    # to index, and argparse's own error for a missing --pmax.
+    # to index, argparse's own error for a missing --pmax, and cmd_verify's
+    # own for a --pmax below 7 and for a d that is not 7 (mod 24).
     "classgroup -6",
     "scan --pmax 2001",
     "--max-exponent 3317044064679887385961981 congruences --p 3317044064679887385961981",
     "--max-exponent 9223372036854775837 scan --pmax 9223372036854775837",
     "verify --d 7",
+    "verify --pmax 5 --d 7",
+    "verify --pmax 120 --d 9 --generalized",
 )
 
 TIMEOUT_S = 60
